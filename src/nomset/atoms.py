@@ -38,11 +38,11 @@ def fresh_for(avoid: NameSet) -> Name:
 
 
 def fresh_many(avoid: NameSet, k: int) -> tuple[Name, ...]:
-    """Return ``k`` pairwise-distinct names, none of them in ``avoid``."""
-    taken = set(avoid)
-    out = []
-    for _ in range(k):
-        n = fresh_for(frozenset(taken))
-        out.append(n)
-        taken.add(n)
-    return tuple(out)
+    """Return ``k`` pairwise-distinct names, none of them in ``avoid``.
+
+    Policy: the ``k`` consecutive indices starting at ``fresh_for(avoid)``,
+    which is what drawing ``fresh_for`` ``k`` times, each time avoiding
+    the names drawn so far, would give.
+    """
+    first = fresh_for(avoid).id
+    return tuple(Name(first + i) for i in range(k))

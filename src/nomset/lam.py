@@ -7,16 +7,22 @@ syntactic instance, where support would be every occurring name, is easy
 to build from the same pieces but deliberately not shipped: everything
 downstream wants the alpha view.
 
+The binder clauses of :func:`alpha_eq` and :func:`subst` share one
+scheme: a single walk that carries a map from each in-scope binder to
+what it stands for, saving and restoring the entry when an inner binder
+shadows an outer one.  Both are linear in term size.  :func:`alpha_eq`
+maps each side's binders to their depth (their de Bruijn level), so two
+variables agree when both are bound at the same level or both are free
+and equal.  :func:`subst` maps each binder of ``t`` to the name one past
+a high-water mark plus its depth; the high-water mark exceeds every name
+in ``t``, ``u`` and ``a``, so the new binders capture nothing.
+
 :func:`to_debruijn` converts to a nameless form in which bound variables
 are depth indices; structural equality of images decides alpha-equivalence
 by construction, giving an oracle for :func:`alpha_eq` that shares none of
-its code path.
-
-:func:`subst` is capture-avoiding substitution.  Its binder clause always
-renames to the canonical fresh name, even when no capture threatens;
-uniformity keeps it obviously alpha-correct.  :func:`alpha_rec` is the
-recursion principle built on the FCB lift: one supported function per
-constructor, with the binder clause descending to alpha-classes.
+its code path.  :func:`alpha_rec` is the recursion principle built on the
+FCB lift: one supported function per constructor, with the binder clause
+descending to alpha-classes.
 
 :func:`beta_step` / :func:`normalize` contract leftmost-outermost redexes
 under an explicit fuel bound; reduction strategy is demo plumbing, not
@@ -30,7 +36,7 @@ from functools import lru_cache
 from typing import Iterator, TypeVar, Union
 
 from .abstraction import Abstraction
-from .atoms import Name, NameSet, fresh_for
+from .atoms import Name, NameSet
 from .nominal import NominalInstance
 from .perms import Perm, perm_apply
 from .suppfn import SuppFn, fcb_lift
@@ -94,19 +100,6 @@ def term_act(p: Perm, t: Term) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _swap_term(a: Name, b: Name, t: Term) -> Term:
-    # term_act for a single transposition; the hot path of alpha_eq/subst.
-    match t:
-        case Var(n):
-            return Var(b if n == a else a if n == b else n)
-        case App(f, x):
-            return App(_swap_term(a, b, f), _swap_term(a, b, x))
-        case Lam(n, s):
-            m = b if n == a else a if n == b else n
-            return Lam(m, _swap_term(a, b, s))
-    raise TypeError(f"not a term: {t!r}")
-
-
 def fv(t: Term) -> NameSet:
     """Free variables; the support of the alpha-instance."""
     match t:
@@ -119,50 +112,67 @@ def fv(t: Term) -> NameSet:
     raise TypeError(f"not a term: {t!r}")
 
 
+# The binder-core walks below dispatch on ``type(t)`` rather than
+# ``match``: class patterns cost several times more per node in CPython.
 def _max_id(t: Term) -> int:
-    match t:
-        case Var(a):
-            return a.id
-        case App(f, x):
-            return max(_max_id(f), _max_id(x))
-        case Lam(b, s):
-            return max(b.id, _max_id(s))
+    """The largest index of any name in ``t``, binders included."""
+    kind = type(t)
+    if kind is Var:
+        return t.name.id
+    if kind is App:
+        left, right = _max_id(t.fn), _max_id(t.arg)
+        return left if left > right else right
+    if kind is Lam:
+        inner = _max_id(t.body)
+        return t.binder.id if t.binder.id > inner else inner
     raise TypeError(f"not a term: {t!r}")
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
     """Decide alpha-equivalence.
 
-    Each binder pair is compared through a common fresh mediator, exactly
-    as abstractions are.  For speed the mediator swaps are suspended as a
-    permutation and applied to names lazily, instead of rebuilding both
-    bodies at every level; mediators are drawn above the largest index
-    occurring in either term, which makes them fresh for everything in
-    play.  Any fresh mediator decides the same relation, and agreement
-    with the one-shot abstraction procedure is part of the test suite.
+    Both terms are walked in lockstep with one map per side from each
+    in-scope binder to its depth.  Two variables match when both are
+    bound at the same depth or both are free with the same name; a
+    shadowing binder overwrites its entry for the extent of its body.
+    This is equality of de Bruijn images (:func:`to_debruijn`) without
+    building them; agreement with that oracle and with the one-shot
+    abstraction procedure is part of the test suite.
     """
-    if t == u:
-        return True
-    base = max(_max_id(t), _max_id(u)) + 1
+    # Maps are keyed by name index: hashing an int is cheaper than
+    # hashing a Name, and indices identify names.
+    lt: dict[int, int] = {}
+    lu: dict[int, int] = {}
 
-    def go(t: Term, u: Term, pl: Perm, pr: Perm, depth: int) -> bool:
-        match t, u:
-            case (Var(a), Var(b)):
-                return perm_apply(pl, a) == perm_apply(pr, b)
-            case (App(f1, x1), App(f2, x2)):
-                return go(f1, f2, pl, pr, depth) and go(x1, x2, pl, pr, depth)
-            case (Lam(a, s), Lam(b, r)):
-                ia, ib = perm_apply(pl, a), perm_apply(pr, b)
-                if ia == ib:
-                    return go(s, r, pl, pr, depth)
-                c = Name(base + depth)
-                return go(
-                    s, r, pl + ((ia, c),), pr + ((ib, c),), depth + 1
-                )
-            case _:
-                return False
+    def go(t: Term, u: Term, depth: int) -> bool:
+        kind = type(t)
+        if kind is not type(u):
+            return False
+        if kind is Var:
+            a, b = t.name.id, u.name.id
+            i, j = lt.get(a), lu.get(b)
+            return i == j and (i is not None or a == b)
+        if kind is App:
+            return go(t.fn, u.fn, depth) and go(t.arg, u.arg, depth)
+        if kind is Lam:
+            a, b = t.binder.id, u.binder.id
+            saved_a, saved_b = lt.get(a), lu.get(b)
+            lt[a] = lu[b] = depth
+            same = go(t.body, u.body, depth + 1)
+            _restore(lt, a, saved_a)
+            _restore(lu, b, saved_b)
+            return same
+        return False
 
-    return go(t, u, (), (), 0)
+    return t is u or go(t, u, 0)
+
+
+def _restore(scope: dict, key, saved) -> None:
+    # Undo a binder's entry, reinstating the binder it shadowed, if any.
+    if saved is None:
+        del scope[key]
+    else:
+        scope[key] = saved
 
 
 def instance_term() -> NominalInstance[Term]:
@@ -193,17 +203,35 @@ def to_debruijn(t: Term) -> DbTerm:
 def subst(t: Term, a: Name, u: Term) -> Term:
     """Capture-avoiding substitution of ``u`` for free ``a`` in ``t``.
 
-    Every binder is renamed to the canonical fresh name before descending.
+    One pass finds a high-water index above every name in ``t``, ``u``
+    and ``a``; one renaming walk then gives each binder of ``t`` the name
+    at the high-water mark plus its depth, carrying a map from old binder
+    to new name.  The new binders occur nowhere in ``u``, so inserting
+    ``u`` under them captures nothing.
     """
-    match t:
-        case Var(b):
-            return u if b == a else t
-        case App(f, x):
-            return App(subst(f, a, u), subst(x, a, u))
-        case Lam(b, s):
-            c = fresh_for(fv(s) | fv(u) | {a, b})
-            return Lam(c, subst(_swap_term(b, c, s), a, u))
-    raise TypeError(f"not a term: {t!r}")
+    target = a.id
+    top = max(target, _max_id(t), _max_id(u)) + 1
+    renamed: dict[int, Name] = {}
+
+    def go(t: Term, depth: int) -> Term:
+        kind = type(t)
+        if kind is Var:
+            new = renamed.get(t.name.id)
+            if new is not None:
+                return Var(new)
+            return u if t.name.id == target else t
+        if kind is App:
+            return App(go(t.fn, depth), go(t.arg, depth))
+        if kind is not Lam:
+            raise TypeError(f"not a term: {t!r}")
+        b = t.binder.id
+        saved = renamed.get(b)
+        c = renamed[b] = Name(top + depth)
+        body = go(t.body, depth + 1)
+        _restore(renamed, b, saved)
+        return Lam(c, body)
+
+    return go(t, 0)
 
 
 def alpha_rec(
@@ -297,7 +325,7 @@ def term_size(t: Term) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def terms_of_size(
     size: int, pool: tuple[Name, ...], binders: tuple[Name, ...] | None = None
 ) -> tuple[Term, ...]:

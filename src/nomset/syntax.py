@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .atoms import Name
-from .lam import App, Lam, Term, Var, fv
+from .lam import App, Lam, Term, Var
 from .perms import Perm
 
 
@@ -45,6 +45,11 @@ class NameTable:
 
     by_label: dict[str, Name] = field(default_factory=dict)
     by_name: dict[Name, str] = field(default_factory=dict)
+    # One past the largest bound index: the index ``intern`` assigns next.
+    _next_id: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._next_id = max((n.id for n in self.by_name), default=-1) + 1
 
     @classmethod
     def from_labels(cls, labels: dict[str, Name]) -> "NameTable":
@@ -58,13 +63,13 @@ class NameTable:
             raise ValueError(f"label/name already bound: {label!r}/{name!r}")
         self.by_label[label] = name
         self.by_name[name] = label
+        self._next_id = max(self._next_id, name.id + 1)
 
     def intern(self, label: str) -> Name:
         """The name for ``label``, assigning the next free index if new."""
         if label in self.by_label:
             return self.by_label[label]
-        next_id = max((n.id for n in self.by_name), default=-1) + 1
-        name = Name(next_id)
+        name = Name(self._next_id)
         self._bind(label, name)
         return name
 
@@ -244,12 +249,29 @@ def print_term(t: Term, table: NameTable | None = None) -> str:
     """Render with minimal parentheses and canonically renamed binders."""
     if table is None:
         table = NameTable()
+    # Free names of every abstraction body, keyed by the abstraction's
+    # identity.  The outermost abstraction gathers them bottom-up for its
+    # whole subtree in one pass, so each body is visited once.
+    body_fv: dict[int, frozenset[Name]] = {}
+
+    def free(t: Term) -> frozenset[Name]:
+        match t:
+            case Var(a):
+                return frozenset((a,))
+            case App(f, x):
+                return free(f) | free(x)
+            case Lam(b, s):
+                names = body_fv[id(t)] = free(s)
+                return names - {b}
+        raise TypeError(f"not a term: {t!r}")
 
     def lookup(n: Name, env: dict[Name, str]) -> str:
         return env[n] if n in env else table.label_of(n)
 
-    def binder_label(body: Term, binder: Name, env: dict[Name, str]) -> str:
-        avoid = {lookup(n, env) for n in fv(body) if n != binder}
+    def binder_label(lam: Lam, env: dict[Name, str]) -> str:
+        if id(lam) not in body_fv:
+            free(lam)
+        avoid = {lookup(n, env) for n in body_fv[id(lam)] if n != lam.binder}
         for candidate in _fresh_labels():
             if candidate not in avoid:
                 return candidate
@@ -268,7 +290,7 @@ def print_term(t: Term, table: NameTable | None = None) -> str:
                     rhs = f"({rhs})"
                 return f"{lhs} {rhs}"
             case Lam(b, s):
-                label = binder_label(s, b, env)
+                label = binder_label(t, env)
                 return f"\\{label}. {go(s, {**env, b: label})}"
         raise TypeError(f"not a term: {t!r}")
 

@@ -51,3 +51,13 @@ def test_fresh_many_distinct_and_disjoint(avoid, k):
     assert len(got) == k
     assert len(set(got)) == k
     assert not (set(got) & avoid)
+
+
+@given(name_sets, st.integers(0, 6))
+def test_fresh_many_matches_repeated_fresh_for(avoid, k):
+    taken, expected = set(avoid), []
+    for _ in range(k):
+        n = fresh_for(frozenset(taken))
+        expected.append(n)
+        taken.add(n)
+    assert fresh_many(avoid, k) == tuple(expected)

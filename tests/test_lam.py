@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given
 
 from nomset.atoms import Name, fresh_for
@@ -32,7 +33,7 @@ from nomset.perms import perm_apply, swap_perm
 from nomset.samplers import name_gen, term_gen
 from nomset.suppfn import SuppFn
 
-from .helpers import rename_binders
+from .helpers import binder_chain, db_tokens, rename_binders
 from .strategies import perms, terms
 
 x, y, z = Name(0), Name(1), Name(2)
@@ -42,7 +43,41 @@ iterm = instance_term()
 
 
 def db_eq(t, u):
-    return to_debruijn(t) == to_debruijn(u)
+    return db_tokens(to_debruijn(t)) == db_tokens(to_debruijn(u))
+
+
+def db_subst(d, a, r):
+    """Substitution on de Bruijn images: free names are kept as names, so
+    ``r`` goes in under binders without shifting."""
+    match d:
+        case DbFree(n):
+            return r if n == a else d
+        case DbApp(f, s):
+            return DbApp(db_subst(f, a, r), db_subst(s, a, r))
+        case DbLam(s):
+            return DbLam(db_subst(s, a, r))
+    return d
+
+
+# 500 nested binders stay inside the default recursion limit.
+DEEP = 500
+w = Name(7)
+
+
+def shadowing_chain(binders, refs):
+    """``\\b1. ... \\bn. r1 r2 ... w``: ``binders`` outermost first, the
+    body applying the variables ``refs`` and the free name ``w``."""
+    body = Var(w)
+    for r in reversed(refs):
+        body = App(Var(r), body)
+    return binder_chain(binders, body)
+
+
+# Binders cycle through x, y, z, so each one shadows the binder three
+# levels out; the distinct-binder copy names level i Name(100 + i).
+DEEP_SHADOWED = [POOL3[i % 3] for i in range(DEEP)]
+DEEP_DISTINCT = [Name(100 + i) for i in range(DEEP)]
+INNERMOST = {n: max(i for i in range(DEEP) if DEEP_SHADOWED[i] == n) for n in POOL3}
 
 
 def test_term_act_identity():
@@ -80,6 +115,47 @@ def test_alpha_eq_with_free_name():
     left = Lam(x, App(Var(x), Var(y)))
     assert alpha_eq(left, Lam(z, App(Var(z), Var(y))))
     assert not alpha_eq(left, Lam(y, App(Var(y), Var(x))))
+
+
+SCOPE_CASES = [
+    # \x.\x.x and \y.\z.z: the inner x shadows the outer one.
+    (Lam(x, Lam(x, Var(x))), Lam(y, Lam(z, Var(z))), True),
+    # \x.\x.x and \y.\z.y: the shadowed binder is out of reach.
+    (Lam(x, Lam(x, Var(x))), Lam(y, Lam(z, Var(y))), False),
+    # \x.y and \y.y: a free y against a bound one.
+    (Lam(x, Var(y)), Lam(y, Var(y)), False),
+    # A free x against a bound x, with the same index on both sides.
+    (Lam(y, Var(x)), Lam(x, Var(x)), False),
+    (App(Lam(y, Var(x)), Var(x)), App(Lam(x, Var(x)), Var(x)), False),
+    # A binder's scope ends with its body.
+    (App(Lam(x, Var(x)), Var(x)), App(Lam(y, Var(y)), Var(x)), True),
+    (App(Lam(x, Var(x)), Var(x)), App(Lam(y, Var(y)), Var(y)), False),
+    # Leaving an inner shadowing binder restores the outer one.
+    (Lam(x, App(Lam(x, Var(x)), Var(x))), Lam(y, App(Lam(z, Var(z)), Var(y))), True),
+    (Lam(x, App(Lam(x, Var(x)), Var(x))), Lam(y, App(Lam(y, Var(y)), Var(z))), False),
+    # Same depths, binders referenced crosswise.
+    (Lam(x, Lam(y, App(Var(x), Var(y)))), Lam(y, Lam(x, App(Var(y), Var(x)))), True),
+    (Lam(x, Lam(y, Var(x))), Lam(x, Lam(y, Var(y))), False),
+]
+
+
+@pytest.mark.parametrize("t, u, expected", SCOPE_CASES)
+def test_alpha_eq_shadowing_and_scope(t, u, expected):
+    assert alpha_eq(t, u) == alpha_eq(u, t) == db_eq(t, u) == expected
+
+
+def test_alpha_eq_on_deep_binder_chains():
+    t = shadowing_chain(DEEP_SHADOWED, [x, y, z])
+
+    def distinct(x_shift):
+        # The distinct-binder copy, its x reference moved x_shift levels out.
+        levels = [INNERMOST[x] - x_shift, INNERMOST[y], INNERMOST[z]]
+        return shadowing_chain(DEEP_DISTINCT, [DEEP_DISTINCT[i] for i in levels])
+
+    # The same level; one level out; the outer x that the inner x shadows.
+    for shift, expected in ((0, True), (1, False), (3, False)):
+        u = distinct(shift)
+        assert alpha_eq(t, u) == alpha_eq(u, t) == db_eq(t, u) == expected
 
 
 @given(terms)
@@ -132,6 +208,29 @@ def test_alpha_eq_agrees_with_abstraction_decision():
         assert alpha_eq(
             Lam(left.name, left.term), Lam(right.name, right.term)
         ) == alpha_equiv_dec(iterm, left, right)
+
+
+def test_subst_matches_oracle_exhaustively_small():
+    smalls = list(all_terms(2, POOL3))
+    for t in all_terms(4, POOL3):
+        dt = to_debruijn(t)
+        for a in POOL3:
+            for u in smalls:
+                got = to_debruijn(subst(t, a, u))
+                assert got == db_subst(dt, a, to_debruijn(u)), (t, a, u)
+
+
+def test_subst_on_deep_binder_chains():
+    # The replacement mentions x free, which every third binder would
+    # capture if it were not renamed.
+    u = App(Var(x), Lam(y, App(Var(y), Var(z))))
+    du = to_debruijn(u)
+    for binders in (DEEP_SHADOWED, DEEP_DISTINCT):
+        t = shadowing_chain(binders, [binders[INNERMOST[n]] for n in POOL3])
+        got = subst(t, w, u)
+        expected = db_subst(to_debruijn(t), w, du)
+        assert db_tokens(to_debruijn(got)) == db_tokens(expected)
+        assert fv(got) == fv(u)
 
 
 def test_subst_hits_free_variable():
@@ -328,3 +427,13 @@ def test_term_size_and_enumeration_counts():
         783,
     ]
     assert all(term_size(t) <= 4 for t in all_terms(4, POOL3))
+
+
+def test_terms_of_size_cache_is_bounded_and_serves_a_whole_universe():
+    assert terms_of_size.cache_info().maxsize is not None
+    terms_of_size.cache_clear()
+    list(all_terms(6, POOL3))
+    built = terms_of_size.cache_info()
+    assert built.currsize <= built.maxsize
+    list(all_terms(6, POOL3))
+    assert terms_of_size.cache_info().misses == built.misses

@@ -1,7 +1,16 @@
 import pytest
 
 from nomset.atoms import Name
-from nomset.lam import App, Lam, Var, all_terms, alpha_eq
+from nomset.lam import (
+    App,
+    Lam,
+    Var,
+    all_terms,
+    alpha_eq,
+    normalize,
+    subst,
+    to_debruijn,
+)
 from nomset.syntax import (
     NameTable,
     ParseError,
@@ -10,6 +19,8 @@ from nomset.syntax import (
     print_names,
     print_term,
 )
+
+from .helpers import binder_chain, db_tokens, reference_print_term
 
 x, y, z = Name(0), Name(1), Name(2)
 
@@ -172,3 +183,67 @@ def test_name_table_is_bijective():
     assert table.label_of(n1) == "foo"
     with pytest.raises(ValueError):
         table._bind("foo", Name(99))
+
+
+# Label tables for the printer comparison: labels synthesized for every
+# name; user labels that the binder sequence must skip; and a user label
+# that a synthesized one must step around.
+PRINT_TABLES = (
+    {},
+    {"a": x, "b": y, "c": z},
+    {"n2": x, "y": y},
+)
+
+
+def assert_prints_like_reference(t):
+    for labels in PRINT_TABLES:
+        table, ref_table = NameTable.from_labels(labels), NameTable.from_labels(labels)
+        assert print_term(t, table) == reference_print_term(t, ref_table), t
+        assert table.by_label == ref_table.by_label
+
+
+def test_print_matches_reference_printer_on_enumerated_terms():
+    for t in all_terms(6, (x, y, z)):
+        assert_prints_like_reference(t)
+
+
+def test_print_matches_reference_printer_on_subst_and_normalize_results():
+    pool = (x, y, z)
+    smalls = list(all_terms(2, pool))
+    for t in all_terms(4, pool):
+        for a in pool:
+            for u in smalls[::4]:
+                assert_prints_like_reference(subst(t, a, u))
+    for t in all_terms(5, pool):
+        assert_prints_like_reference(normalize(t, 20).term)
+    two = Lam(x, Lam(y, App(Var(x), App(Var(x), Var(y)))))
+    assert_prints_like_reference(normalize(App(two, two), 100).term)
+
+
+def test_print_deep_binder_chain():
+    # 500 binders cycling through x, y, z, each shadowing the one three
+    # levels out, around a body that mentions all three and a free name.
+    binders = [(x, y, z)[i % 3] for i in range(500)]
+    t = binder_chain(binders, App(App(App(Var(x), Var(y)), Var(z)), Var(Name(7))))
+    table = fresh_table()
+    out = print_term(t, table)
+    assert out == reference_print_term(t, fresh_table())
+    back = parse_term(out, table)
+    assert db_tokens(to_debruijn(back)) == db_tokens(to_debruijn(t))
+
+
+def test_intern_assigns_one_past_the_largest_bound_index():
+    table = NameTable.from_labels({"p": Name(7), "q": Name(3)})
+    assert table.intern("r") == Name(8)
+    assert table.label_of(Name(20)) == "n20"
+    assert table.intern("s") == Name(21)
+    assert table.label_of(Name(4)) == "n4"
+    assert table.intern("t") == Name(22)
+    direct = NameTable(by_label={"u": Name(5)}, by_name={Name(5): "u"})
+    assert direct.intern("v") == Name(6)
+
+
+def test_parse_interns_many_identifiers_in_order():
+    table = NameTable()
+    parse_term(" ".join(f"v{i}" for i in range(2000)), table)
+    assert [n.id for n in table.by_label.values()] == list(range(2000))
