@@ -16,7 +16,7 @@ from .atoms import Name
 from .freshness import fresh_dec
 from .lam import Term, alpha_eq, fv, instance_term, normalize, subst, term_act
 from .perms import Perm
-from .syntax import NameTable, ParseError, parse_perm, parse_term, print_names, print_term
+from .syntax import IDENT_RE, NameTable, ParseError, parse_perm, parse_term, print_names, print_term
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_name(src: str, table: NameTable) -> Name:
-    from .syntax import IDENT_RE
-
     if IDENT_RE.fullmatch(src) is None:
         raise ParseError(f"invalid name {src!r}", 1, 1)
     return table.intern(src)

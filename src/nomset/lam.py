@@ -7,15 +7,15 @@ syntactic instance, where support would be every occurring name, is easy
 to build from the same pieces but deliberately not shipped: everything
 downstream wants the alpha view.
 
-The binder clauses of :func:`alpha_eq` and :func:`subst` share one
-scheme: a single walk that carries a map from each in-scope binder to
-what it stands for, saving and restoring the entry when an inner binder
-shadows an outer one.  Both are linear in term size.  :func:`alpha_eq`
-maps each side's binders to their depth (their de Bruijn level), so two
-variables agree when both are bound at the same level or both are free
-and equal.  :func:`subst` maps each binder of ``t`` to the name one past
-a high-water mark plus its depth; the high-water mark exceeds every name
-in ``t``, ``u`` and ``a``, so the new binders capture nothing.
+Every traversal runs on an explicit stack, so depth is bounded by memory,
+not the recursion limit.  :func:`fv`, :func:`term_act`, :func:`term_size`,
+:func:`to_debruijn`, :func:`subst` and :func:`alpha_rec` are clause sets
+for one post-order walker, :func:`_fold`; :func:`to_debruijn` and
+:func:`subst` map each in-scope binder to its depth or its new name, set on
+entering an abstraction and restored on leaving it.  Three loops do not fit
+a fold: :func:`alpha_eq` walks both terms in lockstep, :func:`beta_step`
+rebuilds only the spine above the redex it finds, and ``print_term`` in
+:mod:`nomset.syntax` renders from a stack of nodes and literal strings.
 
 :func:`to_debruijn` converts to a nameless form in which bound variables
 are depth indices; structural equality of images decides alpha-equivalence
@@ -87,45 +87,58 @@ class DbLam:
 
 DbTerm = Union[DbVar, DbFree, DbApp, DbLam]
 
+# Stack markers.  A saved scope entry of None means the name was unbound,
+# which is how every map here reads a missing entry, so restoring is a store.
+_APP_DONE, _LAM_DONE, _RESTORE = object(), object(), object()
+
+
+def _fold(t: Term, var, app, lam, enter=None):
+    """Post-order fold of ``t`` on an explicit stack: ``var(node)``,
+    ``app(node, fn_result, arg_result)`` and ``lam(node, body_result)``
+    give each node's result, left to right as in structural recursion, and
+    ``enter(node)``, if given, runs before an abstraction's body."""
+    todo, done = [t], []
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Var:
+            done.append(var(node))
+        elif kind is App:
+            todo += (node, _APP_DONE, node.arg, node.fn)
+        elif kind is Lam:
+            if enter is not None:
+                enter(node)
+            todo += (node, _LAM_DONE, node.body)
+        elif node is _APP_DONE:
+            x = done.pop()
+            done[-1] = app(todo.pop(), done[-1], x)
+        elif node is _LAM_DONE:
+            done[-1] = lam(todo.pop(), done[-1])
+        else:
+            raise TypeError("not a term")
+    return done[0]
+
+
+# fv's variable and application clauses, shared with the printer's pass.
+_FV_CLAUSES = (lambda node: frozenset((node.name,)), lambda node, f, x: f | x)
+
 
 def term_act(p: Perm, t: Term) -> Term:
     """Apply a permutation to every name in the term, binders included."""
-    match t:
-        case Var(a):
-            return Var(perm_apply(p, a))
-        case App(f, x):
-            return App(term_act(p, f), term_act(p, x))
-        case Lam(b, s):
-            return Lam(perm_apply(p, b), term_act(p, s))
-    raise TypeError(f"not a term: {t!r}")
+    return _fold(t, lambda node: Var(perm_apply(p, node.name)),
+                 lambda node, f, x: App(f, x),
+                 lambda node, s: Lam(perm_apply(p, node.binder), s))
 
 
 def fv(t: Term) -> NameSet:
     """Free variables; the support of the alpha-instance."""
-    match t:
-        case Var(a):
-            return frozenset((a,))
-        case App(f, x):
-            return fv(f) | fv(x)
-        case Lam(b, s):
-            return fv(s) - {b}
-    raise TypeError(f"not a term: {t!r}")
+    return _fold(t, *_FV_CLAUSES, lambda node, s: s - {node.binder})
 
 
-# The binder-core walks below dispatch on ``type(t)`` rather than
-# ``match``: class patterns cost several times more per node in CPython.
 def _max_id(t: Term) -> int:
     """The largest index of any name in ``t``, binders included."""
-    kind = type(t)
-    if kind is Var:
-        return t.name.id
-    if kind is App:
-        left, right = _max_id(t.fn), _max_id(t.arg)
-        return left if left > right else right
-    if kind is Lam:
-        inner = _max_id(t.body)
-        return t.binder.id if t.binder.id > inner else inner
-    raise TypeError(f"not a term: {t!r}")
+    return _fold(t, lambda node: node.name.id, lambda node, f, x: f if f > x else x,
+                 lambda node, s: node.binder.id if node.binder.id > s else s)
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
@@ -139,40 +152,38 @@ def alpha_eq(t: Term, u: Term) -> bool:
     building them; agreement with that oracle and with the one-shot
     abstraction procedure is part of the test suite.
     """
+    if t is u:
+        return True
     # Maps are keyed by name index: hashing an int is cheaper than
     # hashing a Name, and indices identify names.
-    lt: dict[int, int] = {}
-    lu: dict[int, int] = {}
-
-    def go(t: Term, u: Term, depth: int) -> bool:
+    lt: dict[int, int | None] = {}
+    lu: dict[int, int | None] = {}
+    depth, todo = 0, [(t, u)]
+    while todo:
+        t, u = todo.pop()
+        if t is _RESTORE:
+            a, saved_a, b, saved_b = u
+            lt[a], lu[b] = saved_a, saved_b
+            depth -= 1
+            continue
         kind = type(t)
         if kind is not type(u):
             return False
         if kind is Var:
             a, b = t.name.id, u.name.id
             i, j = lt.get(a), lu.get(b)
-            return i == j and (i is not None or a == b)
-        if kind is App:
-            return go(t.fn, u.fn, depth) and go(t.arg, u.arg, depth)
-        if kind is Lam:
+            if i != j or (i is None and a != b):
+                return False
+        elif kind is App:
+            todo += ((t.arg, u.arg), (t.fn, u.fn))
+        elif kind is Lam:
             a, b = t.binder.id, u.binder.id
-            saved_a, saved_b = lt.get(a), lu.get(b)
+            todo += ((_RESTORE, (a, lt.get(a), b, lu.get(b))), (t.body, u.body))
             lt[a] = lu[b] = depth
-            same = go(t.body, u.body, depth + 1)
-            _restore(lt, a, saved_a)
-            _restore(lu, b, saved_b)
-            return same
-        return False
-
-    return t is u or go(t, u, 0)
-
-
-def _restore(scope: dict, key, saved) -> None:
-    # Undo a binder's entry, reinstating the binder it shadowed, if any.
-    if saved is None:
-        del scope[key]
-    else:
-        scope[key] = saved
+            depth += 1
+        else:
+            return False
+    return True
 
 
 def instance_term() -> NominalInstance[Term]:
@@ -183,21 +194,22 @@ def instance_term() -> NominalInstance[Term]:
 def to_debruijn(t: Term) -> DbTerm:
     """Nameless conversion: bound occurrences become binder-depth indices,
     free occurrences stay named."""
+    level: dict[int, int | None] = {}
+    saved: list[int | None] = []
 
-    def go(t: Term, env: tuple[Name, ...]) -> DbTerm:
-        match t:
-            case Var(a):
-                try:
-                    return DbVar(env.index(a))
-                except ValueError:
-                    return DbFree(a)
-            case App(f, x):
-                return DbApp(go(f, env), go(x, env))
-            case Lam(b, s):
-                return DbLam(go(s, (b,) + env))
-        raise TypeError(f"not a term: {t!r}")
+    def enter(node: Lam) -> None:
+        saved.append(level.get(node.binder.id))
+        level[node.binder.id] = len(saved) - 1
 
-    return go(t, ())
+    def var(node: Var) -> DbTerm:
+        i = level.get(node.name.id)
+        return DbFree(node.name) if i is None else DbVar(len(saved) - 1 - i)
+
+    def lam(node: Lam, body: DbTerm) -> DbTerm:
+        level[node.binder.id] = saved.pop()
+        return DbLam(body)
+
+    return _fold(t, var, lambda node, f, x: DbApp(f, x), lam, enter)
 
 
 def subst(t: Term, a: Name, u: Term) -> Term:
@@ -205,33 +217,30 @@ def subst(t: Term, a: Name, u: Term) -> Term:
 
     One pass finds a high-water index above every name in ``t``, ``u``
     and ``a``; one renaming walk then gives each binder of ``t`` the name
-    at the high-water mark plus its depth, carrying a map from old binder
-    to new name.  The new binders occur nowhere in ``u``, so inserting
-    ``u`` under them captures nothing.
+    at the high-water mark plus its depth.  The new binders occur nowhere
+    in ``u``, so inserting ``u`` under them captures nothing.
     """
     target = a.id
     top = max(target, _max_id(t), _max_id(u)) + 1
-    renamed: dict[int, Name] = {}
+    renamed: dict[int, Name | None] = {}
+    saved: list[Name | None] = []
 
-    def go(t: Term, depth: int) -> Term:
-        kind = type(t)
-        if kind is Var:
-            new = renamed.get(t.name.id)
-            if new is not None:
-                return Var(new)
-            return u if t.name.id == target else t
-        if kind is App:
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if kind is not Lam:
-            raise TypeError(f"not a term: {t!r}")
-        b = t.binder.id
-        saved = renamed.get(b)
-        c = renamed[b] = Name(top + depth)
-        body = go(t.body, depth + 1)
-        _restore(renamed, b, saved)
-        return Lam(c, body)
+    def enter(node: Lam) -> None:
+        saved.append(renamed.get(node.binder.id))
+        renamed[node.binder.id] = Name(top + len(saved) - 1)
 
-    return go(t, 0)
+    def var(node: Var) -> Term:
+        new = renamed.get(node.name.id)
+        if new is not None:
+            return Var(new)
+        return u if node.name.id == target else node
+
+    def lam(node: Lam, body: Term) -> Term:
+        new = renamed[node.binder.id]
+        renamed[node.binder.id] = saved.pop()
+        return Lam(new, body)
+
+    return _fold(t, var, lambda node, f, x: App(f, x), lam, enter)
 
 
 def alpha_rec(
@@ -251,14 +260,9 @@ def alpha_rec(
     flam_bar = fcb_lift(iy, flam)
 
     def rec(t: Term) -> Y:
-        match t:
-            case Var(a):
-                return fvar.fn(a)
-            case App(f, x):
-                return fapp.fn((rec(f), rec(x)))
-            case Lam(a, s):
-                return flam_bar.fn(Abstraction(a, rec(s)))
-        raise TypeError(f"not a term: {t!r}")
+        return _fold(t, lambda node: fvar.fn(node.name),
+                     lambda node, f, x: fapp.fn((f, x)),
+                     lambda node, s: flam_bar.fn(Abstraction(node.binder, s)))
 
     return SuppFn(
         fn=rec,
@@ -269,23 +273,32 @@ def alpha_rec(
 
 
 def beta_step(t: Term) -> Term | None:
-    """Contract the leftmost-outermost redex, or ``None`` in normal form."""
-    match t:
-        case App(Lam(b, s), u):
-            return subst(s, b, u)
-        case App(f, x):
-            step = beta_step(f)
-            if step is not None:
-                return App(step, x)
-            step = beta_step(x)
-            if step is not None:
-                return App(f, step)
-            return None
-        case Lam(b, s):
-            step = beta_step(s)
-            return None if step is None else Lam(b, step)
-        case _:
-            return None
+    """Contract the leftmost-outermost redex, the first one a left-to-right
+    pre-order search meets, or return ``None`` in normal form."""
+    path: list[Term] = []  # the ancestors of the node being searched
+    todo = [(t, 0)]
+    while todo:
+        node, depth = todo.pop()
+        del path[depth:]
+        kind = type(node)
+        if kind is App:
+            if type(node.fn) is Lam:
+                new = subst(node.fn.body, node.fn.binder, node.arg)
+                for parent in reversed(path):
+                    if type(parent) is Lam:
+                        new = Lam(parent.binder, new)
+                    elif parent.fn is node:  # if arg is fn, the redex was met in fn
+                        new = App(new, parent.arg)
+                    else:
+                        new = App(parent.fn, new)
+                    node = parent
+                return new
+            path.append(node)
+            todo += ((node.arg, depth + 1), (node.fn, depth + 1))
+        elif kind is Lam:
+            path.append(node)
+            todo.append((node.body, depth + 1))
+    return None
 
 
 @dataclass(frozen=True)
@@ -315,14 +328,7 @@ def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
 
 def term_size(t: Term) -> int:
     """Constructor count."""
-    match t:
-        case Var(_):
-            return 1
-        case App(f, x):
-            return 1 + term_size(f) + term_size(x)
-        case Lam(_, s):
-            return 1 + term_size(s)
-    raise TypeError(f"not a term: {t!r}")
+    return _fold(t, lambda node: 1, lambda node, f, x: 1 + f + x, lambda node, s: 1 + s)
 
 
 @lru_cache(maxsize=64)

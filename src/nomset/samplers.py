@@ -1,4 +1,4 @@
-"""Random value generators for the law checkers and demo scripts.
+"""Random value generators for the law checkers.
 
 Each sampler takes a ``random.Random`` and returns one value, matching the
 ``Gen`` shape the checkers expect.  Combinator samplers mirror the
@@ -13,13 +13,11 @@ from typing import TypeVar
 from .abstraction import Abstraction
 from .atoms import Name
 from .lam import App, Lam, Term, Var
-from .nominal import Gen, Left, Right
+from .nominal import DEFAULT_POOL, Gen, Left, Right, random_perm
 from .perms import Perm
 
 X = TypeVar("X")
 Y = TypeVar("Y")
-
-DEFAULT_POOL = tuple(Name(i) for i in range(6))
 
 
 def name_gen(pool: tuple[Name, ...] = DEFAULT_POOL) -> Gen[Name]:
@@ -59,11 +57,7 @@ def nameset_gen(pool: tuple[Name, ...] = DEFAULT_POOL) -> Gen[frozenset]:
 def perm_gen(
     pool: tuple[Name, ...] = DEFAULT_POOL, max_len: int = 5
 ) -> Gen[Perm]:
-    def gen(rng: random.Random) -> Perm:
-        k = rng.randrange(max_len + 1)
-        return tuple((rng.choice(pool), rng.choice(pool)) for _ in range(k))
-
-    return gen
+    return lambda rng: random_perm(rng, pool, max_len)
 
 
 def abstraction_gen(

@@ -41,7 +41,7 @@ from typing import Callable, Generic, Iterable, TypeVar
 from .abstraction import Abstraction, instance_abstraction
 from .atoms import Name, NameSet, fresh_for, fresh_many
 from .freshness import fresh_dec
-from .nominal import Gen, NominalInstance, instance_name
+from .nominal import DEFAULT_POOL, Gen, NominalInstance, instance_name
 from .perms import Perm, perm_apply, perm_inverse, swap_perm
 
 X = TypeVar("X")
@@ -172,7 +172,7 @@ def check_supp_spec(
     trials: int = 200,
     *,
     seed: int = 0,
-    pool: tuple[Name, ...] = tuple(Name(i) for i in range(6)),
+    pool: tuple[Name, ...] = DEFAULT_POOL,
 ) -> SuppSpecReport:
     """Sample the declared-support contract.
 

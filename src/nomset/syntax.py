@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .atoms import Name
-from .lam import App, Lam, Term, Var
+from .lam import _FV_CLAUSES, App, Lam, Term, Var, _fold
 from .perms import Perm
 
 
@@ -92,7 +92,7 @@ IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<lam>[\\λ])|(?P<dot>\.)|(?P<lp>\()|(?P<rp>\))"
-    r"|(?P<ident>[a-zA-Z_][a-zA-Z0-9_']*)"
+    rf"|(?P<ident>{IDENT_RE.pattern})"
 )
 
 
@@ -205,7 +205,7 @@ def parse_term(src: str, table: NameTable | None = None) -> Term:
 
 
 _PERM_PAIR_RE = re.compile(
-    r"\(\s*(?P<a>[a-zA-Z_][a-zA-Z0-9_']*)\s+(?P<b>[a-zA-Z_][a-zA-Z0-9_']*)\s*\)"
+    rf"\(\s*(?P<a>{IDENT_RE.pattern})\s+(?P<b>{IDENT_RE.pattern})\s*\)"
 )
 
 
@@ -245,56 +245,50 @@ def _fresh_labels() -> Iterator[str]:
         k += 1
 
 
+class _Text(str):
+    """Text on the printer's stack, which no term can be."""
+
+
+# _END closes a binder's scope; the item below it is (binder, shadowed label).
+_SPACE, _OPEN, _CLOSE, _ARG_OPEN, _END = map(_Text, (" ", "(", ")", " (", ""))
+
+
 def print_term(t: Term, table: NameTable | None = None) -> str:
     """Render with minimal parentheses and canonically renamed binders."""
     if table is None:
         table = NameTable()
-    # Free names of every abstraction body, keyed by the abstraction's
-    # identity.  The outermost abstraction gathers them bottom-up for its
-    # whole subtree in one pass, so each body is visited once.
-    body_fv: dict[int, frozenset[Name]] = {}
-
-    def free(t: Term) -> frozenset[Name]:
-        match t:
-            case Var(a):
-                return frozenset((a,))
-            case App(f, x):
-                return free(f) | free(x)
-            case Lam(b, s):
-                names = body_fv[id(t)] = free(s)
-                return names - {b}
-        raise TypeError(f"not a term: {t!r}")
-
-    def lookup(n: Name, env: dict[Name, str]) -> str:
-        return env[n] if n in env else table.label_of(n)
-
-    def binder_label(lam: Lam, env: dict[Name, str]) -> str:
-        if id(lam) not in body_fv:
-            free(lam)
-        avoid = {lookup(n, env) for n in body_fv[id(lam)] if n != lam.binder}
-        for candidate in _fresh_labels():
-            if candidate not in avoid:
-                return candidate
-        raise AssertionError("unreachable: label sequence is infinite")
-
-    def go(t: Term, env: dict[Name, str]) -> str:
-        match t:
-            case Var(a):
-                return lookup(a, env)
-            case App(f, x):
-                lhs = go(f, env)
-                if isinstance(f, Lam):
-                    lhs = f"({lhs})"
-                rhs = go(x, env)
-                if isinstance(x, (App, Lam)):
-                    rhs = f"({rhs})"
-                return f"{lhs} {rhs}"
-            case Lam(b, s):
-                label = binder_label(t, env)
-                return f"\\{label}. {go(s, {**env, b: label})}"
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, {})
+    # Free names of each abstraction by identity (hashing a node would walk
+    # it), gathered for a whole subtree by its outermost abstraction.
+    lam_fv: dict[int, frozenset[Name]] = {}
+    labels: dict[Name, str] = {}  # in-scope binder -> its label
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Var:
+            out.append(labels.get(node.name) or table.label_of(node.name))
+        elif kind is App:
+            f, x = node.fn, node.arg
+            todo += (x, _SPACE) if type(x) is Var else (_CLOSE, x, _ARG_OPEN)
+            todo += (_CLOSE, f, _OPEN) if type(f) is Lam else (f,)
+        elif kind is Lam:
+            if id(node) not in lam_fv:
+                _fold(node, *_FV_CLAUSES,
+                      lambda lam, s: lam_fv.setdefault(id(lam), s - {lam.binder}))
+            avoid = {labels.get(n) or table.label_of(n) for n in lam_fv[id(node)]}
+            label = next(c for c in _fresh_labels() if c not in avoid)
+            todo += ((node.binder, labels.get(node.binder)), _END, node.body)
+            labels[node.binder] = label
+            out.append(f"\\{label}. ")
+        elif node is _END:
+            b, saved = todo.pop()
+            labels[b] = saved
+        elif kind is _Text:
+            out.append(node)
+        else:
+            raise TypeError("not a term")
+    return "".join(out)
 
 
 def print_names(

@@ -1,14 +1,15 @@
-"""Plain-random helpers for building alpha-equal variants in tests, and a
-reference printer."""
+"""Plain-random helpers for building alpha-equal variants in tests, and
+reference copies of the recursive printer and beta step."""
 
 import random
 
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec
-from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, fv, term_act
-from nomset.nominal import NominalInstance
+from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, fv, subst, term_act
+from nomset.nominal import NominalInstance, instance_name, instance_nameset, instance_pair
 from nomset.perms import swap_perm
+from nomset.suppfn import SuppFn
 from nomset.syntax import NameTable
 
 POOL = tuple(Name(i) for i in range(6))
@@ -44,16 +45,55 @@ def db_tokens(d: DbTerm) -> list:
     out, todo = [], [d]
     while todo:
         d = todo.pop()
-        match d:
-            case DbApp(f, x):
-                out.append("@")
-                todo += (x, f)
-            case DbLam(body):
-                out.append("\\")
-                todo.append(body)
-            case _:
-                out.append(d)
+        kind = type(d)
+        if kind is DbApp:
+            out.append("@")
+            todo += (d.arg, d.fn)
+        elif kind is DbLam:
+            out.append("\\")
+            todo.append(d.body)
+        else:
+            out.append(d)
     return out
+
+
+def term_tokens(t: Term) -> list:
+    """Prefix tokens of a named term, built without recursion; two terms
+    are ``==`` exactly when their tokens are, but the generated ``==``
+    exceeds the recursion limit on deep terms."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is App:
+            out.append("@")
+            todo += (t.arg, t.fn)
+        elif kind is Lam:
+            out.append(("\\", t.binder))
+            todo.append(t.body)
+        else:
+            out.append(t.name)
+    return out
+
+
+def fv_combinators():
+    """The three clauses of ``fv`` for ``alpha_rec`` into name sets."""
+    iname = instance_name()
+    inset = instance_nameset()
+    fvar = SuppFn(lambda n: frozenset({n}), frozenset(), dom=iname, cod=inset)
+    fapp = SuppFn(
+        lambda st: st[0] | st[1],
+        frozenset(),
+        dom=instance_pair(inset, inset),
+        cod=inset,
+    )
+    flam = SuppFn(
+        lambda ns: ns[1] - {ns[0]},
+        frozenset(),
+        dom=instance_pair(iname, inset),
+        cod=inset,
+    )
+    return fvar, fapp, flam
 
 
 def alpha_variant_abs(
@@ -113,3 +153,24 @@ def reference_print_term(t: Term, table: NameTable | None = None) -> str:
         raise TypeError(f"not a term: {t!r}")
 
     return go(t, {})
+
+
+def reference_beta_step(t: Term) -> Term | None:
+    """The recursive leftmost-outermost step; ``normalize`` must take the
+    same steps to the same terms."""
+    match t:
+        case App(Lam(b, s), u):
+            return subst(s, b, u)
+        case App(f, x):
+            step = reference_beta_step(f)
+            if step is not None:
+                return App(step, x)
+            step = reference_beta_step(x)
+            if step is not None:
+                return App(f, step)
+            return None
+        case Lam(b, s):
+            step = reference_beta_step(s)
+            return None if step is None else Lam(b, step)
+        case _:
+            return None

@@ -1,0 +1,174 @@
+"""Terms 10^5 deep, far past the default recursion limit.
+
+Every expected value is built by a loop: prefix tokens of the de Bruijn
+image (``db_tokens``), rendered strings, and known free-name sets.  The
+generated ``==``, ``hash`` and ``repr`` of terms are recursive, so no
+assertion applies them to a deep term.
+"""
+
+import copy
+from functools import cached_property
+
+import pytest
+
+from nomset.atoms import Name
+from nomset.lam import (
+    App,
+    DbFree,
+    DbVar,
+    Lam,
+    Var,
+    alpha_eq,
+    alpha_rec,
+    fv,
+    normalize,
+    subst,
+    term_act,
+    term_size,
+    to_debruijn,
+)
+from nomset.nominal import instance_nameset
+from nomset.perms import swap_perm
+from nomset.syntax import NameTable, print_term
+
+from .helpers import db_tokens, fv_combinators, term_tokens
+
+N = 100_000
+x, y, z, w, v = Name(0), Name(1), Name(2), Name(7), Name(8)
+XYZ = (x, y, z)
+LABELS = {"x": x, "y": y, "z": z, "w": w, "v": v}
+
+
+class Case:
+    """A deep term, built by ``build`` around the leaf ``w``, with its free
+    names, size, de Bruijn tokens and rendering under ``LABELS``."""
+
+    def __init__(self, build, free, size, tokens, printed):
+        self.build, self.term = build, build(Var(w))
+        self.free, self.size, self.tokens, self.printed = free, size, tokens, printed
+
+    @cached_property
+    def swapped(self):
+        return term_act(swap_perm(x, v), self.term)
+
+    @cached_property
+    def substituted(self):
+        # x is bound in two of the three cases; no binder may capture it.
+        return subst(self.term, w, Var(x))
+
+
+def binder_chain_case() -> Case:
+    # \b0. ... \b(N-1). x y z w with b_i = XYZ[i % 3]: every binder shadows
+    # the one three levels out, and the body sees only the innermost three.
+    def build(leaf):
+        t = App(App(App(Var(x), Var(y)), Var(z)), leaf)
+        for i in reversed(range(N)):
+            t = Lam(XYZ[i % 3], t)
+        return t
+
+    innermost = {XYZ[i % 3]: i for i in range(N - 3, N)}
+    refs = [DbVar(N - 1 - innermost[n]) for n in XYZ]
+    tokens = ["\\"] * N + ["@"] * 3 + refs + [DbFree(w)]
+    # Each abstraction avoids the labels of its free names: only w outside
+    # the last three binders, which therefore print as a, b, c.
+    label = {XYZ[i % 3]: "abc"[i - (N - 3)] for i in range(N - 3, N)}
+    printed = "\\a. " * (N - 3) + "\\a. \\b. \\c. "
+    printed += " ".join([label[x], label[y], label[z], "w"])
+    return Case(build, {w}, N + 7, tokens, printed)
+
+
+def left_spine_case() -> Case:
+    # w a0 a1 ... a(N-1), applied left to right, a_i = XYZ[i % 3].
+    def build(leaf):
+        t = leaf
+        for i in range(N):
+            t = App(t, Var(XYZ[i % 3]))
+        return t
+
+    tokens = ["@"] * N + [DbFree(w)] + [DbFree(XYZ[i % 3]) for i in range(N)]
+    printed = "w " + " ".join("xyz"[i % 3] for i in range(N))
+    return Case(build, {w, x, y, z}, 2 * N + 1, tokens, printed)
+
+
+def right_nested_case() -> Case:
+    # \x. a0 (a1 (... (a(N-1) w))), a_i = XYZ[i % 3]; x is bound.
+    def build(leaf):
+        t = leaf
+        for i in reversed(range(N)):
+            t = App(Var(XYZ[i % 3]), t)
+        return Lam(x, t)
+
+    tokens = ["\\"]
+    for i in range(N):
+        a = XYZ[i % 3]
+        tokens += ["@", DbVar(0) if a == x else DbFree(a)]
+    tokens.append(DbFree(w))
+    names = ["a" if i % 3 == 0 else "xyz"[i % 3] for i in range(N)]
+    printed = "\\a. " + "".join(n + " (" for n in names[:-1])
+    printed += names[-1] + " w" + ")" * (N - 1)
+    return Case(build, {w, y, z}, 2 * N + 2, tokens, printed)
+
+
+@pytest.fixture(
+    scope="module", params=[binder_chain_case, left_spine_case, right_nested_case]
+)
+def case(request) -> Case:
+    return request.param()
+
+
+def test_fv_and_term_size(case):
+    assert fv(case.term) == case.free
+    assert term_size(case.term) == case.size
+
+
+def test_to_debruijn(case):
+    assert db_tokens(to_debruijn(case.term)) == case.tokens
+
+
+def test_term_act_renames_free_and_bound_names(case):
+    def swap(n):
+        return {x: v, v: x}.get(n, n)
+
+    expected = []
+    for tok in term_tokens(case.term):
+        if type(tok) is tuple:
+            expected.append((tok[0], swap(tok[1])))
+        else:
+            expected.append(swap(tok) if type(tok) is Name else tok)
+    assert term_tokens(case.swapped) == expected
+
+
+def test_subst_avoids_capture(case):
+    expected = [DbFree(x) if t == DbFree(w) else t for t in case.tokens]
+    assert db_tokens(to_debruijn(case.substituted)) == expected
+
+
+def test_alpha_eq(case):
+    # A shallow copy is a distinct root over the same subterms, so the
+    # whole term is walked.
+    assert alpha_eq(case.term, copy.copy(case.term))
+    assert alpha_eq(case.term, case.swapped) == (x not in case.free)
+    # The two differ only in the last leaf: free w against free x.
+    assert not alpha_eq(case.term, case.substituted)
+
+
+def test_alpha_rec_computes_fv(case):
+    rec = alpha_rec(instance_nameset(), *fv_combinators())
+    assert rec(case.term) == case.free
+
+
+def test_normalize_normal_form(case):
+    result = normalize(case.term)
+    assert (result.steps, result.normal_form) == (0, True)
+    assert result.term is case.term
+
+
+def test_normalize_redex_at_the_bottom(case):
+    # (\v. v) w in place of w is the only redex, at the far end of the term.
+    got = normalize(case.build(App(Lam(v, Var(v)), Var(w))))
+    assert (got.steps, got.normal_form) == (1, True)
+    assert term_tokens(got.term) == term_tokens(case.term)
+
+
+def test_print_term(case):
+    assert print_term(case.term, NameTable.from_labels(LABELS)) == case.printed

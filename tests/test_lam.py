@@ -33,7 +33,14 @@ from nomset.perms import perm_apply, swap_perm
 from nomset.samplers import name_gen, term_gen
 from nomset.suppfn import SuppFn
 
-from .helpers import binder_chain, db_tokens, rename_binders
+from .helpers import (
+    binder_chain,
+    db_tokens,
+    fv_combinators,
+    reference_beta_step,
+    rename_binders,
+    term_tokens,
+)
 from .strategies import perms, terms
 
 x, y, z = Name(0), Name(1), Name(2)
@@ -59,7 +66,6 @@ def db_subst(d, a, r):
     return d
 
 
-# 500 nested binders stay inside the default recursion limit.
 DEEP = 500
 w = Name(7)
 
@@ -78,6 +84,22 @@ def shadowing_chain(binders, refs):
 DEEP_SHADOWED = [POOL3[i % 3] for i in range(DEEP)]
 DEEP_DISTINCT = [Name(100 + i) for i in range(DEEP)]
 INNERMOST = {n: max(i for i in range(DEEP) if DEEP_SHADOWED[i] == n) for n in POOL3}
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        fv,
+        term_size,
+        to_debruijn,
+        lambda t: term_act(swap_perm(x, y), t),
+        lambda t: subst(t, x, Var(y)),
+    ],
+)
+def test_term_functions_reject_non_terms(fn):
+    for bad in ("x", App(Var(x), 5), Lam(x, (x, y))):
+        with pytest.raises(TypeError, match="not a term"):
+            fn(bad)
 
 
 def test_term_act_identity():
@@ -328,25 +350,6 @@ def test_renaming_law_against_oracle():
             assert db_eq(Lam(a, t), renamed)
 
 
-def fv_combinators():
-    iname = instance_name()
-    inset = instance_nameset()
-    fvar = SuppFn(lambda n: frozenset({n}), frozenset(), dom=iname, cod=inset)
-    fapp = SuppFn(
-        lambda st: st[0] | st[1],
-        frozenset(),
-        dom=instance_pair(inset, inset),
-        cod=inset,
-    )
-    flam = SuppFn(
-        lambda ns: ns[1] - {ns[0]},
-        frozenset(),
-        dom=instance_pair(iname, inset),
-        cod=inset,
-    )
-    return fvar, fapp, flam
-
-
 def test_alpha_rec_reproduces_fv_on_small_terms():
     rec = alpha_rec(instance_nameset(), *fv_combinators())
     for t in all_terms(4, POOL3):
@@ -415,6 +418,48 @@ def test_normalize_omega_exhausts_fuel():
     result = normalize(App(dup, dup), 5)
     assert not result.normal_form
     assert result.steps == 5
+
+
+def church(k):
+    f, v = Name(10), Name(11)
+    body = Var(v)
+    for _ in range(k):
+        body = App(Var(f), body)
+    return Lam(f, Lam(v, body))
+
+
+def assert_normalize_matches_reference(t, fuel):
+    steps, term = 0, t
+    while steps < fuel and (nxt := reference_beta_step(term)) is not None:
+        steps, term = steps + 1, nxt
+    got = normalize(t, fuel)
+    assert got.steps == steps, t
+    assert got.normal_form == (reference_beta_step(term) is None), t
+    assert term_tokens(got.term) == term_tokens(term), t
+
+
+def test_normalize_matches_reference_step_exhaustively():
+    # Every fuel up to 4, so each intermediate term is compared too.
+    for t in all_terms(6, POOL3):
+        for fuel in range(5):
+            assert_normalize_matches_reference(t, fuel)
+
+
+def test_normalize_matches_reference_step_on_random_terms():
+    # Two sibling redexes, the smallest case where the search order shows,
+    # need nine constructors.
+    rng = random.Random(4)
+    gen = term_gen(max_size=12)
+    for _ in range(2000):
+        t = gen(rng)
+        for fuel in range(5):
+            assert_normalize_matches_reference(t, fuel)
+
+
+def test_normalize_matches_reference_step_on_church_powers():
+    # c_k c_2 is c_(2^k), reached in 2^(k+1) - 2 steps.
+    for k in range(1, 10):
+        assert_normalize_matches_reference(App(church(k), church(2)), 2 ** (k + 1))
 
 
 def test_term_size_and_enumeration_counts():

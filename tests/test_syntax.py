@@ -168,6 +168,16 @@ def test_parse_perm_rejects_garbage():
         parse_perm("a b", fresh_table())
 
 
+# Strings and tuples are what the printer keeps on its own stack.
+@pytest.mark.parametrize(
+    "bad",
+    ["x", App(Var(x), "junk"), App(Var(x), (x, "y")), Lam(x, " ("), App(Var(x), 5)],
+)
+def test_print_rejects_non_terms(bad):
+    with pytest.raises(TypeError, match="not a term"):
+        print_term(bad, fresh_table())
+
+
 def test_print_names_sorted_by_label():
     table = fresh_table()
     assert print_names(frozenset({z, x}), table) == "x z"
