@@ -13,9 +13,10 @@ not the recursion limit.  :func:`fv`, :func:`term_act`, :func:`term_size`,
 for one post-order walker, :func:`_fold`; :func:`to_debruijn` and
 :func:`subst` map each in-scope binder to its depth or its new name, set on
 entering an abstraction and restored on leaving it.  Three loops do not fit
-a fold: :func:`alpha_eq` walks both terms in lockstep, :func:`beta_step`
-rebuilds only the spine above the redex it finds, and ``print_term`` in
-:mod:`nomset.syntax` renders from a stack of nodes and literal strings.
+a fold: :func:`alpha_eq` walks both terms in lockstep, :func:`normalize`
+moves a zipper that resumes each redex search where the last contraction
+was made, and ``print_term`` in :mod:`nomset.syntax` renders from a stack
+of nodes and literal strings.
 
 :func:`to_debruijn` converts to a nameless form in which bound variables
 are depth indices; structural equality of images decides alpha-equivalence
@@ -24,9 +25,9 @@ its code path.  :func:`alpha_rec` is the recursion principle built on the
 FCB lift: one supported function per constructor, with the binder clause
 descending to alpha-classes.
 
-:func:`beta_step` / :func:`normalize` contract leftmost-outermost redexes
-under an explicit fuel bound; reduction strategy is demo plumbing, not
-part of the core theory.
+:func:`normalize` contracts leftmost-outermost redexes under an explicit
+fuel bound, :func:`beta_step` is its one-step case; reduction strategy is
+demo plumbing, not part of the core theory.
 """
 
 from __future__ import annotations
@@ -119,10 +120,6 @@ def _fold(t: Term, var, app, lam, enter=None):
     return done[0]
 
 
-# fv's variable and application clauses, shared with the printer's pass.
-_FV_CLAUSES = (lambda node: frozenset((node.name,)), lambda node, f, x: f | x)
-
-
 def term_act(p: Perm, t: Term) -> Term:
     """Apply a permutation to every name in the term, binders included."""
     return _fold(t, lambda node: Var(perm_apply(p, node.name)),
@@ -131,8 +128,23 @@ def term_act(p: Perm, t: Term) -> Term:
 
 
 def fv(t: Term) -> NameSet:
-    """Free variables; the support of the alpha-instance."""
-    return _fold(t, *_FV_CLAUSES, lambda node, s: s - {node.binder})
+    """Free variables; the support of the alpha-instance.  One output set,
+    and a count of enclosing binders per name index, so no set is copied."""
+    out: set[Name] = set()
+    bound: dict[int, int] = {}
+
+    def enter(node: Lam) -> None:
+        bound[node.binder.id] = bound.get(node.binder.id, 0) + 1
+
+    def var(node: Var) -> None:
+        if not bound.get(node.name.id):
+            out.add(node.name)
+
+    def lam(node: Lam, body: None) -> None:
+        bound[node.binder.id] -= 1
+
+    _fold(t, var, lambda node, f, x: None, lam, enter)
+    return frozenset(out)
 
 
 def _max_id(t: Term) -> int:
@@ -273,32 +285,9 @@ def alpha_rec(
 
 
 def beta_step(t: Term) -> Term | None:
-    """Contract the leftmost-outermost redex, the first one a left-to-right
-    pre-order search meets, or return ``None`` in normal form."""
-    path: list[Term] = []  # the ancestors of the node being searched
-    todo = [(t, 0)]
-    while todo:
-        node, depth = todo.pop()
-        del path[depth:]
-        kind = type(node)
-        if kind is App:
-            if type(node.fn) is Lam:
-                new = subst(node.fn.body, node.fn.binder, node.arg)
-                for parent in reversed(path):
-                    if type(parent) is Lam:
-                        new = Lam(parent.binder, new)
-                    elif parent.fn is node:  # if arg is fn, the redex was met in fn
-                        new = App(new, parent.arg)
-                    else:
-                        new = App(parent.fn, new)
-                    node = parent
-                return new
-            path.append(node)
-            todo += ((node.arg, depth + 1), (node.fn, depth + 1))
-        elif kind is Lam:
-            path.append(node)
-            todo.append((node.body, depth + 1))
-    return None
+    """One leftmost-outermost step, or ``None`` in normal form."""
+    result = normalize(t, 1)
+    return result.term if result.steps else None
 
 
 @dataclass(frozen=True)
@@ -308,18 +297,56 @@ class NormalizeResult:
     normal_form: bool
 
 
+def _plug(frame, focus: Term) -> Term:
+    """Plug ``focus`` into a :func:`normalize` frame; an unchanged child
+    gives back the frame's original node."""
+    kind = type(frame)
+    if kind is Lam:
+        return frame if focus is frame.body else Lam(frame.binder, focus)
+    if kind is App:
+        return frame if focus is frame.fn else App(focus, frame.arg)
+    node, fn = frame
+    return node if focus is node.arg and fn is node.fn else App(fn, focus)
+
+
 def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
-    """Iterate ``beta_step`` at most ``fuel`` times."""
+    """Contract leftmost-outermost redexes, at most ``fuel`` of them.
+
+    A zipper walk that never restarts from the root.  ``ctx`` holds the
+    frames above ``focus``: ``Lam`` (focus in the body), ``App`` (in the
+    function, argument unsearched) or ``(app, fn)`` (in the argument,
+    ``fn`` normal).  All left of the focus is normal, so each search
+    resumes at the contractum; only the parent can become a redex, when
+    an abstraction lands in its function slot.  Plugged back once.
+    """
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
-    steps = 0
-    while steps < fuel:
-        nxt = beta_step(t)
-        if nxt is None:
-            return NormalizeResult(t, steps, True)
-        t = nxt
-        steps += 1
-    return NormalizeResult(t, steps, beta_step(t) is None)
+    steps, ctx, focus = 0, [], t
+    while True:
+        kind = type(focus)
+        if kind is Lam:
+            ctx.append(focus)
+            focus = focus.body
+        elif kind is App and type(focus.fn) is not Lam:
+            ctx.append(focus)
+            focus = focus.fn
+        elif kind is App:  # a redex
+            if steps == fuel:
+                break
+            focus = subst(focus.fn.body, focus.fn.binder, focus.arg)
+            steps += 1
+            if type(focus) is Lam and ctx and type(ctx[-1]) is App:
+                focus = App(focus, ctx.pop().arg)
+        else:  # a leaf: climb to the nearest frame with an unsearched argument
+            while ctx and type(ctx[-1]) is not App:
+                focus = _plug(ctx.pop(), focus)
+            if not ctx:
+                return NormalizeResult(focus, steps, True)
+            ctx[-1] = (ctx[-1], focus)
+            focus = ctx[-1][0].arg
+    while ctx:
+        focus = _plug(ctx.pop(), focus)
+    return NormalizeResult(focus, steps, False)
 
 
 # ---------------------------------------------------------------------------

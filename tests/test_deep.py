@@ -7,6 +7,7 @@ assertion applies them to a deep term.
 """
 
 import copy
+import signal
 from functools import cached_property
 
 import pytest
@@ -168,6 +169,32 @@ def test_normalize_redex_at_the_bottom(case):
     got = normalize(case.build(App(Lam(v, Var(v)), Var(w))))
     assert (got.steps, got.normal_form) == (1, True)
     assert term_tokens(got.term) == term_tokens(case.term)
+
+
+def test_normalize_resumes_after_each_contraction():
+    # x ((\v. v) w) ... ((\v. v) w): every redex is an argument on a left
+    # spine 2 * 10^4 deep.  Resuming at the contractum walks the spine once,
+    # well under a second; a search restarted from the root at every step
+    # walks it 2 * 10^4 times, for minutes, so the walk gets a deadline.  The
+    # alarm repeats: one that lands in a gc callback (hypothesis installs one)
+    # is reported as unraisable instead of raised.
+    n = 20_000
+    t = Var(x)
+    for _ in range(n):
+        t = App(t, App(Lam(v, Var(v)), Var(w)))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("normalize of the redex spine took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 10, 1)
+    try:
+        got = normalize(t, n)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (got.steps, got.normal_form) == (n, True)
+    assert term_tokens(got.term) == ["@"] * n + [x] + [w] * n
 
 
 def test_print_term(case):

@@ -462,6 +462,45 @@ def test_normalize_matches_reference_step_on_church_powers():
         assert_normalize_matches_reference(App(church(k), church(2)), 2 ** (k + 1))
 
 
+def test_beta_step_matches_reference_step_exhaustively():
+    for t in all_terms(6, POOL3):
+        assert beta_step(t) == reference_beta_step(t), t
+
+
+def mult(m, n):
+    a, b, g = Name(12), Name(13), Name(14)
+    times = Lam(a, Lam(b, Lam(g, App(Var(a), App(Var(b), Var(g))))))
+    return App(App(times, church(m)), church(n))
+
+
+IDENTITY_REDEX = App(Lam(z, Var(z)), Var(y))
+
+
+# A contraction can turn its parent into a redex: (\x. \y. y) a lands an
+# abstraction in the function slot of the application to b.
+FUEL_CUT_TERMS = [
+    *(App(church(k), church(2)) for k in range(1, 6)),
+    *(mult(m, n) for m, n in itertools.product(range(5), repeat=2)),
+    App(App(Lam(x, Lam(y, Var(y))), Var(z)), Var(x)),
+    App(App(App(Lam(x, Lam(y, Lam(z, Var(z)))), Var(x)), Var(y)), Var(z)),
+    App(Var(x), App(App(Lam(x, Lam(y, Var(y))), Var(z)), Var(x))),
+    App(App(Var(x), Var(z)), IDENTITY_REDEX),
+    App(App(Var(x), IDENTITY_REDEX), App(Lam(x, IDENTITY_REDEX), Var(z))),
+]
+
+
+@pytest.mark.parametrize("t", FUEL_CUT_TERMS)
+def test_normalize_cut_off_at_every_fuel_matches_reference(t):
+    trace = [term_tokens(t)]  # the reference term after each step
+    term = t
+    while (term := reference_beta_step(term)) is not None:
+        trace.append(term_tokens(term))
+    for fuel, tokens in enumerate(trace):
+        got = normalize(t, fuel)
+        assert (got.steps, got.normal_form) == (fuel, fuel == len(trace) - 1)
+        assert term_tokens(got.term) == tokens
+
+
 def test_term_size_and_enumeration_counts():
     assert term_size(Lam(x, App(Var(x), Var(y)))) == 4
     assert [len(terms_of_size(s, POOL3)) for s in range(1, 6)] == [
