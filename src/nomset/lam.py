@@ -16,7 +16,8 @@ entering an abstraction and restored on leaving it.  Three loops do not fit
 a fold: :func:`alpha_eq` walks both terms in lockstep, :func:`normalize`
 moves a zipper that resumes each redex search where the last contraction
 was made, and ``print_term`` in :mod:`nomset.syntax` renders from a stack
-of nodes and literal strings.
+of nodes and literal strings.  ``parse_term`` there builds terms on an
+explicit stack too, of open binders and parentheses.
 
 :func:`to_debruijn` converts to a nameless form in which bound variables
 are depth indices; structural equality of images decides alpha-equivalence

@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
-from .atoms import Name, NameSet, fresh_for
+from .atoms import Name, NameSet, fresh_many
 from .perms import Perm, perm_apply, perm_compose, swap_perm
 
 X = TypeVar("X")
@@ -238,9 +238,7 @@ def _equivalent_value(
     rng: random.Random, inst: NominalInstance[X], x: X
 ) -> X:
     # For a lawful instance, swapping two fresh names fixes x up to equiv.
-    s = inst.support(x)
-    a = fresh_for(s)
-    b = fresh_for(s | {a})
+    a, b = fresh_many(inst.support(x), 2)
     if rng.random() < 0.3:
         return x
     return inst.act(swap_perm(a, b), x)
@@ -250,8 +248,7 @@ def _fresh_pair(
     rng: random.Random, support: NameSet, pool: tuple[Name, ...]
 ) -> tuple[Name, Name]:
     outside = [n for n in pool if n not in support]
-    a = fresh_for(support)
-    b = fresh_for(support | {a})
+    a, b = fresh_many(support, 2)
     outside.extend((a, b))
     return rng.choice(outside), rng.choice(outside)
 

@@ -12,6 +12,10 @@ The body of an abstraction extends as far right as possible, so
 ``\x. x y`` is ``\x. (x y)``.  A permutation literal is a sequence of
 parenthesized name pairs, ``(a b)(c d)``, applied left to right.
 
+:func:`parse_term` lexes the whole input first, then reads the tokens in
+one loop that keeps the open abstractions and parentheses on an explicit
+stack, so nesting depth is bounded by memory, not the recursion limit.
+
 A :class:`NameTable` maps source identifiers to name indices bijectively.
 One table per CLI invocation makes ``x`` mean the same atom in every
 argument.  Printing renames binders to labels from a deterministic fresh
@@ -96,15 +100,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> Iterator[Token]:
+def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, col)`` for every token, ending with ``eof``."""
+    tokens = []
     line, col = 1, 1
     pos = 0
     while pos < len(src):
@@ -114,7 +112,7 @@ def _tokenize(src: str) -> Iterator[Token]:
         kind = m.lastgroup
         text = m.group()
         if kind != "ws":
-            yield Token(kind, text, line, col)
+            tokens.append((kind, text, line, col))
         newlines = text.count("\n")
         if newlines:
             line += newlines
@@ -122,7 +120,8 @@ def _tokenize(src: str) -> Iterator[Token]:
         else:
             col += len(text)
         pos = m.end()
-    yield Token("eof", "", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
 
 
 _KIND_LABEL = {
@@ -135,73 +134,56 @@ _KIND_LABEL = {
 }
 
 
-class _Parser:
-    def __init__(self, src: str, table: NameTable):
-        self.tokens = list(_tokenize(src))
-        self.pos = 0
-        self.table = table
-
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        t = self.tok
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> Token:
-        if self.tok.kind != kind:
-            found = _KIND_LABEL[self.tok.kind]
-            raise ParseError(
-                f"expected {_KIND_LABEL[kind]}, found {found}",
-                self.tok.line,
-                self.tok.col,
-            )
-        return self.advance()
-
-    def term(self) -> Term:
-        if self.tok.kind == "lam":
-            self.advance()
-            binder = self.table.intern(self.expect("ident").text)
-            self.expect("dot")
-            if self.tok.kind in ("rp", "eof"):
-                raise ParseError(
-                    "expected a term (missing abstraction body)",
-                    self.tok.line,
-                    self.tok.col,
-                )
-            return Lam(binder, self.term())
-        return self.app()
-
-    def app(self) -> Term:
-        t = self.atom()
-        while self.tok.kind in ("ident", "lp"):
-            t = App(t, self.atom())
-        return t
-
-    def atom(self) -> Term:
-        if self.tok.kind == "ident":
-            return Var(self.table.intern(self.advance().text))
-        if self.tok.kind == "lp":
-            self.advance()
-            t = self.term()
-            self.expect("rp")
-            return t
-        found = _KIND_LABEL[self.tok.kind]
-        raise ParseError(
-            f"expected identifier or '(', found {found}",
-            self.tok.line,
-            self.tok.col,
-        )
+def _unexpected(expected: str, token: tuple[str, str, int, int]) -> ParseError:
+    kind, _, line, col = token
+    return ParseError(f"expected {expected}, found {_KIND_LABEL[kind]}", line, col)
 
 
 def parse_term(src: str, table: NameTable | None = None) -> Term:
     """Parse one term; identifiers are interned into ``table``."""
-    parser = _Parser(src, table if table is not None else NameTable())
-    t = parser.term()
-    parser.expect("eof")
-    return t
+    if table is None:
+        table = NameTable()
+    tokens = iter(_tokenize(src))
+    # Open contexts, innermost last: the binder (a Name) of an abstraction
+    # whose body is being read, or an open parenthesis, stored as the
+    # application to its left.  ``app`` is the application read so far in
+    # the innermost context.  None, in either place, means no atom yet.
+    stack: list = []
+    app = None
+    while True:
+        token = next(tokens)
+        kind = token[0]
+        if kind == "ident":
+            var = Var(table.intern(token[1]))
+            app = var if app is None else App(app, var)
+        elif kind == "lp":
+            stack.append(app)
+            app = None
+        elif app is not None:
+            # The term ends here: close its abstractions, then the
+            # parenthesis or the input around it.
+            while stack and type(stack[-1]) is Name:
+                app = Lam(stack.pop(), app)
+            closer = "rp" if stack else "eof"
+            if kind != closer:
+                raise _unexpected(_KIND_LABEL[closer], token)
+            if not stack:
+                return app
+            left = stack.pop()
+            app = app if left is None else App(left, app)
+        elif kind != "lam":
+            if kind != "dot" and stack and type(stack[-1]) is Name:
+                msg = "expected a term (missing abstraction body)"
+                raise ParseError(msg, token[2], token[3])
+            raise _unexpected("identifier or '('", token)
+        else:
+            token = next(tokens)
+            if token[0] != "ident":
+                raise _unexpected("identifier", token)
+            stack.append(table.intern(token[1]))
+            token = next(tokens)
+            if token[0] != "dot":
+                raise _unexpected("'.'", token)
 
 
 _PERM_PAIR_RE = re.compile(
@@ -214,15 +196,15 @@ def parse_perm(src: str, table: NameTable | None = None) -> Perm:
     if table is None:
         table = NameTable()
     swaps = []
-    pos = 0
-    stripped = src.strip()
-    while pos < len(stripped):
-        m = _PERM_PAIR_RE.match(stripped, pos)
+    pos = len(src) - len(src.lstrip())
+    end = len(src.rstrip())
+    while pos < end:
+        m = _PERM_PAIR_RE.match(src, pos, end)
         if m is None:
             raise ParseError(
                 "expected a parenthesized name pair like '(a b)'",
-                1,
-                pos + 1,
+                src.count("\n", 0, pos) + 1,
+                pos - src.rfind("\n", 0, pos),
             )
         swaps.append((table.intern(m.group("a")), table.intern(m.group("b"))))
         pos = m.end()

@@ -1,5 +1,5 @@
 """Plain-random helpers for building alpha-equal variants in tests, and
-reference copies of the recursive printer and beta step."""
+reference copies of the recursive parser, printer and beta step."""
 
 import random
 
@@ -10,7 +10,7 @@ from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, fv, subst, ter
 from nomset.nominal import NominalInstance, instance_name, instance_nameset, instance_pair
 from nomset.perms import swap_perm
 from nomset.suppfn import SuppFn
-from nomset.syntax import NameTable
+from nomset.syntax import _KIND_LABEL, _TOKEN_RE, NameTable, ParseError
 
 POOL = tuple(Name(i) for i in range(6))
 
@@ -174,3 +174,70 @@ def reference_beta_step(t: Term) -> Term | None:
             return None if step is None else Lam(b, step)
         case _:
             return None
+
+
+def reference_parse_term(src: str, table: NameTable) -> Term:
+    """The recursive-descent parser, three frames per parenthesis;
+    ``parse_term`` must return the same term or raise the same
+    ``ParseError``, and leave the table in the same state."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
+        kind, text = m.lastgroup, m.group()
+        if kind != "ws":
+            tokens.append((kind, text, line, col))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    at = 0
+
+    def advance():
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def fail(message):
+        raise ParseError(message, tokens[at][2], tokens[at][3])
+
+    def expect(kind):
+        if tokens[at][0] != kind:
+            fail(f"expected {_KIND_LABEL[kind]}, found {_KIND_LABEL[tokens[at][0]]}")
+        return advance()
+
+    def term():
+        if tokens[at][0] == "lam":
+            advance()
+            binder = table.intern(expect("ident")[1])
+            expect("dot")
+            if tokens[at][0] in ("rp", "eof"):
+                fail("expected a term (missing abstraction body)")
+            return Lam(binder, term())
+        return app()
+
+    def app():
+        t = atom()
+        while tokens[at][0] in ("ident", "lp"):
+            t = App(t, atom())
+        return t
+
+    def atom():
+        if tokens[at][0] == "ident":
+            return Var(table.intern(advance()[1]))
+        if tokens[at][0] == "lp":
+            advance()
+            t = term()
+            expect("rp")
+            return t
+        fail(f"expected identifier or '(', found {_KIND_LABEL[tokens[at][0]]}")
+
+    t = term()
+    expect("eof")
+    return t

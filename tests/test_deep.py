@@ -1,4 +1,4 @@
-"""Terms 10^5 deep, far past the default recursion limit.
+"""Terms and parser inputs 10^5 deep, far past the default recursion limit.
 
 Every expected value is built by a loop: prefix tokens of the de Bruijn
 image (``db_tokens``), rendered strings, and known free-name sets.  The
@@ -12,6 +12,7 @@ from functools import cached_property
 
 import pytest
 
+from nomset import cli
 from nomset.atoms import Name
 from nomset.lam import (
     App,
@@ -30,7 +31,7 @@ from nomset.lam import (
 )
 from nomset.nominal import instance_nameset
 from nomset.perms import swap_perm
-from nomset.syntax import NameTable, print_term
+from nomset.syntax import NameTable, parse_term, print_term
 
 from .helpers import db_tokens, fv_combinators, term_tokens
 
@@ -199,3 +200,33 @@ def test_normalize_resumes_after_each_contraction():
 
 def test_print_term(case):
     assert print_term(case.term, NameTable.from_labels(LABELS)) == case.printed
+
+
+def parens_input():
+    return "(" * N + "x" + ")" * N, [x]
+
+
+def binder_chain_input():
+    return "\\x. " * N + "x", [("\\", x)] * N + [x]
+
+
+def left_application_input():
+    return " ".join(["x"] * N), ["@"] * (N - 1) + [x] * N
+
+
+def right_nested_input():
+    return "x (" * (N - 1) + "x" + ")" * (N - 1), ["@", x] * (N - 1) + [x]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [parens_input, binder_chain_input, left_application_input, right_nested_input],
+)
+def test_parse_term(build):
+    src, tokens = build()
+    assert term_tokens(parse_term(src, NameTable.from_labels(LABELS))) == tokens
+
+
+def test_cli_fv_of_deeply_parenthesized_variable(capsys):
+    assert cli.main(["fv", "(" * N + "x" + ")" * N]) == 0
+    assert capsys.readouterr().out == "x\n"

@@ -1,4 +1,9 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nomset.atoms import Name
 from nomset.lam import (
@@ -20,7 +25,7 @@ from nomset.syntax import (
     print_term,
 )
 
-from .helpers import binder_chain, db_tokens, reference_print_term
+from .helpers import binder_chain, db_tokens, reference_parse_term, reference_print_term
 
 x, y, z = Name(0), Name(1), Name(2)
 
@@ -168,6 +173,22 @@ def test_parse_perm_rejects_garbage():
         parse_perm("a b", fresh_table())
 
 
+@pytest.mark.parametrize(
+    "src, line, col",
+    [
+        ("(a b) x", 1, 6),
+        ("   (a b) x", 1, 9),
+        ("\n  (a b)x", 2, 8),
+        ("(a\nb) (c d)", 2, 3),
+    ],
+)
+def test_parse_perm_reports_position_in_the_callers_text(src, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_perm(src, fresh_table())
+    assert (err.value.line, err.value.col) == (line, col)
+    assert err.value.message == "expected a parenthesized name pair like '(a b)'"
+
+
 # Strings and tuples are what the printer keeps on its own stack.
 @pytest.mark.parametrize(
     "bad",
@@ -257,3 +278,61 @@ def test_parse_interns_many_identifiers_in_order():
     table = NameTable()
     parse_term(" ".join(f"v{i}" for i in range(2000)), table)
     assert [n.id for n in table.by_label.values()] == list(range(2000))
+
+
+# Token texts: the first seven spell every short input; the rest add the
+# other lambda, an unknown character, a line break and a primed name.
+SHORT_ALPHABET = ("x", "y", "\\", ".", "(", ")", " ")
+TOKEN_ALPHABET = SHORT_ALPHABET + ("λ", "#", "\n", "x'")
+
+
+def parse_outcome(parse, src):
+    """The term or the error's message and position, and the table's
+    labels in interning order."""
+    table = NameTable()
+    try:
+        got = parse(src, table)
+    except ParseError as err:
+        got = (err.message, err.line, err.col)
+    return got, list(table.by_label.items())
+
+
+def assert_parses_like_reference(src):
+    expected = parse_outcome(reference_parse_term, src)
+    assert parse_outcome(parse_term, src) == expected, src
+
+
+def test_parse_matches_reference_parser_on_every_short_string():
+    for k in range(6):
+        for chars in itertools.product(SHORT_ALPHABET, repeat=k):
+            assert_parses_like_reference("".join(chars))
+
+
+def test_parse_matches_reference_parser_on_random_token_strings():
+    rng = random.Random(5)
+    for _ in range(20_000):
+        k = rng.randint(0, 30)
+        assert_parses_like_reference("".join(rng.choices(TOKEN_ALPHABET, k=k)))
+
+
+token_text = st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=40).map("".join)
+
+
+@given(st.text() | token_text)
+def test_parse_term_gives_a_term_or_a_parse_error(src):
+    table = NameTable()
+    try:
+        t = parse_term(src, table)
+    except ParseError:
+        return
+    assert type(t) in (Var, App, Lam)
+    assert alpha_eq(parse_term(print_term(t, table), table), t)
+
+
+@given(st.text() | token_text)
+def test_parse_perm_gives_a_permutation_or_a_parse_error(src):
+    try:
+        perm = parse_perm(src)
+    except ParseError:
+        return
+    assert all(type(a) is Name and type(b) is Name for a, b in perm)
