@@ -7,17 +7,23 @@ syntactic instance, where support would be every occurring name, is easy
 to build from the same pieces but deliberately not shipped: everything
 downstream wants the alpha view.
 
+Each node caches ``_top``, the largest name index it contains, binders
+included, filled in O(1) from its children when it is built.
+:func:`subst` reads its fresh-name mark from the cached values of its two
+terms, so the term it inserts is never walked.
+
 Every traversal runs on an explicit stack, so depth is bounded by memory,
 not the recursion limit.  :func:`fv`, :func:`term_act`, :func:`term_size`,
 :func:`to_debruijn`, :func:`subst` and :func:`alpha_rec` are clause sets
 for one post-order walker, :func:`_fold`; :func:`to_debruijn` and
 :func:`subst` map each in-scope binder to its depth or its new name, set on
 entering an abstraction and restored on leaving it.  Three loops do not fit
-a fold: :func:`alpha_eq` walks both terms in lockstep, :func:`normalize`
-moves a zipper that resumes each redex search where the last contraction
-was made, and ``print_term`` in :mod:`nomset.syntax` renders from a stack
-of nodes and literal strings.  ``parse_term`` there builds terms on an
-explicit stack too, of open binders and parentheses.
+a fold: :func:`alpha_eq` walks both terms in lockstep, :func:`_reduce`
+moves the zipper of :func:`normalize` and :func:`beta_step`, which resumes
+each redex search where the last contraction was made, and ``print_term``
+in :mod:`nomset.syntax` renders from a stack of nodes and literal strings.
+``parse_term`` there builds terms on an explicit stack too, of open
+binders and parentheses.
 
 :func:`to_debruijn` converts to a nameless form in which bound variables
 are depth indices; structural equality of images decides alpha-equivalence
@@ -33,7 +39,7 @@ demo plumbing, not part of the core theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, TypeVar, Union
 
@@ -46,21 +52,60 @@ from .suppfn import SuppFn, fcb_lift
 Y = TypeVar("Y")
 
 
+_set = object.__setattr__
+
+
+# A child that is not a term makes ``_top`` None, which spreads to every
+# ancestor: ``subst`` rejects such a term by it, the walkers on reaching
+# the bad node.
 @dataclass(frozen=True, slots=True)
 class Var:
     name: Name
+    _top: int | None = field(init=False, repr=False, compare=False)
+
+    def __init__(self, name: Name) -> None:
+        _set(self, "name", name)
+        try:
+            top = name.id
+        except AttributeError:
+            top = None
+        _set(self, "_top", top)
 
 
 @dataclass(frozen=True, slots=True)
 class App:
     fn: "Term"
     arg: "Term"
+    _top: int | None = field(init=False, repr=False, compare=False)
+
+    def __init__(self, fn: "Term", arg: "Term") -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        try:
+            top, other = fn._top, arg._top
+            if other > top:
+                top = other
+        except (AttributeError, TypeError):
+            top = None
+        _set(self, "_top", top)
 
 
 @dataclass(frozen=True, slots=True)
 class Lam:
     binder: Name
     body: "Term"
+    _top: int | None = field(init=False, repr=False, compare=False)
+
+    def __init__(self, binder: Name, body: "Term") -> None:
+        _set(self, "binder", binder)
+        _set(self, "body", body)
+        try:
+            top, other = binder.id, body._top
+            if other > top:
+                top = other
+        except (AttributeError, TypeError):
+            top = None
+        _set(self, "_top", top)
 
 
 Term = Union[Var, App, Lam]
@@ -148,12 +193,6 @@ def fv(t: Term) -> NameSet:
     return frozenset(out)
 
 
-def _max_id(t: Term) -> int:
-    """The largest index of any name in ``t``, binders included."""
-    return _fold(t, lambda node: node.name.id, lambda node, f, x: f if f > x else x,
-                 lambda node, s: node.binder.id if node.binder.id > s else s)
-
-
 def alpha_eq(t: Term, u: Term) -> bool:
     """Decide alpha-equivalence.
 
@@ -228,13 +267,17 @@ def to_debruijn(t: Term) -> DbTerm:
 def subst(t: Term, a: Name, u: Term) -> Term:
     """Capture-avoiding substitution of ``u`` for free ``a`` in ``t``.
 
-    One pass finds a high-water index above every name in ``t``, ``u``
-    and ``a``; one renaming walk then gives each binder of ``t`` the name
-    at the high-water mark plus its depth.  The new binders occur nowhere
-    in ``u``, so inserting ``u`` under them captures nothing.
+    The high-water mark, one above every name index in ``t``, ``u`` and
+    ``a``, is read from the nodes' cached ``_top``, so ``u`` is never
+    walked; one renaming walk of ``t`` then gives each binder the name at
+    the mark plus its depth.  The new binders occur nowhere in ``u``, so
+    inserting ``u`` under them captures nothing.
     """
     target = a.id
-    top = max(target, _max_id(t), _max_id(u)) + 1
+    try:
+        top = max(target, t._top, u._top) + 1
+    except (AttributeError, TypeError):
+        raise TypeError("not a term") from None
     renamed: dict[int, Name | None] = {}
     saved: list[Name | None] = []
 
@@ -286,9 +329,16 @@ def alpha_rec(
 
 
 def beta_step(t: Term) -> Term | None:
-    """One leftmost-outermost step, or ``None`` in normal form."""
-    result = normalize(t, 1)
-    return result.term if result.steps else None
+    """One leftmost-outermost step, or ``None`` in normal form.  The
+    context is plugged as soon as the redex is contracted, so the rest of
+    the term is neither searched nor rebuilt."""
+    ctx, focus, _ = _reduce(t, 0)
+    if ctx is None:
+        return None
+    focus = subst(focus.fn.body, focus.fn.binder, focus.arg)
+    while ctx:
+        focus = _plug(ctx.pop(), focus)
+    return focus
 
 
 @dataclass(frozen=True)
@@ -299,7 +349,7 @@ class NormalizeResult:
 
 
 def _plug(frame, focus: Term) -> Term:
-    """Plug ``focus`` into a :func:`normalize` frame; an unchanged child
+    """Plug ``focus`` into a :func:`_reduce` frame; an unchanged child
     gives back the frame's original node."""
     kind = type(frame)
     if kind is Lam:
@@ -310,18 +360,19 @@ def _plug(frame, focus: Term) -> Term:
     return node if focus is node.arg and fn is node.fn else App(fn, focus)
 
 
-def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
-    """Contract leftmost-outermost redexes, at most ``fuel`` of them.
+def _reduce(t: Term, fuel: int):
+    """Contract leftmost-outermost redexes in ``t``, at most ``fuel`` of
+    them, and return ``(ctx, focus, steps)``.
 
     A zipper walk that never restarts from the root.  ``ctx`` holds the
     frames above ``focus``: ``Lam`` (focus in the body), ``App`` (in the
     function, argument unsearched) or ``(app, fn)`` (in the argument,
     ``fn`` normal).  All left of the focus is normal, so each search
     resumes at the contractum; only the parent can become a redex, when
-    an abstraction lands in its function slot.  Plugged back once.
+    an abstraction lands in its function slot.  At normal form ``ctx`` is
+    ``None`` and ``focus`` the whole plugged term; when fuel runs out,
+    ``focus`` is the next redex and ``ctx`` its unplugged context.
     """
-    if fuel < 0:
-        raise ValueError("fuel must be nonnegative")
     steps, ctx, focus = 0, [], t
     while True:
         kind = type(focus)
@@ -333,7 +384,7 @@ def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
             focus = focus.fn
         elif kind is App:  # a redex
             if steps == fuel:
-                break
+                return ctx, focus, steps
             focus = subst(focus.fn.body, focus.fn.binder, focus.arg)
             steps += 1
             if type(focus) is Lam and ctx and type(ctx[-1]) is App:
@@ -342,9 +393,19 @@ def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
             while ctx and type(ctx[-1]) is not App:
                 focus = _plug(ctx.pop(), focus)
             if not ctx:
-                return NormalizeResult(focus, steps, True)
+                return None, focus, steps
             ctx[-1] = (ctx[-1], focus)
             focus = ctx[-1][0].arg
+
+
+def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
+    """Contract leftmost-outermost redexes, at most ``fuel`` of them, on
+    the zipper of :func:`_reduce`; the context is plugged back once."""
+    if fuel < 0:
+        raise ValueError("fuel must be nonnegative")
+    ctx, focus, steps = _reduce(t, fuel)
+    if ctx is None:
+        return NormalizeResult(focus, steps, True)
     while ctx:
         focus = _plug(ctx.pop(), focus)
     return NormalizeResult(focus, steps, False)

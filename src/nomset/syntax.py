@@ -10,7 +10,8 @@ Grammar::
 
 The body of an abstraction extends as far right as possible, so
 ``\x. x y`` is ``\x. (x y)``.  A permutation literal is a sequence of
-parenthesized name pairs, ``(a b)(c d)``, applied left to right.
+parenthesized name pairs, ``(a b)(c d)``, applied left to right;
+whitespace may separate the pairs.
 
 :func:`parse_term` lexes the whole input first, then reads the tokens in
 one loop that keeps the open abstractions and parentheses on an explicit
@@ -100,6 +101,16 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _advance(text: str, line: int, col: int) -> tuple[int, int]:
+    """The position just after ``text`` read from ``line:col``.  Line
+    breaks are those of ``str.splitlines``, which ``\\s`` all matches, with
+    ``\\r\\n`` as one break."""
+    rows = (text + ".").splitlines()  # the "." keeps a trailing break's row
+    if len(rows) == 1:
+        return line, col + len(text)
+    return line + len(rows) - 1, len(rows[-1])
+
+
 def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
     """``(kind, text, line, col)`` for every token, ending with ``eof``."""
     tokens = []
@@ -111,13 +122,10 @@ def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
             raise ParseError(f"unexpected character {src[pos]!r}", line, col)
         kind = m.lastgroup
         text = m.group()
-        if kind != "ws":
-            tokens.append((kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
+        if kind == "ws":
+            line, col = _advance(text, line, col)
         else:
+            tokens.append((kind, text, line, col))
             col += len(text)
         pos = m.end()
     tokens.append(("eof", "", line, col))
@@ -187,25 +195,22 @@ def parse_term(src: str, table: NameTable | None = None) -> Term:
 
 
 _PERM_PAIR_RE = re.compile(
-    rf"\(\s*(?P<a>{IDENT_RE.pattern})\s+(?P<b>{IDENT_RE.pattern})\s*\)"
+    rf"\(\s*(?P<a>{IDENT_RE.pattern})\s+(?P<b>{IDENT_RE.pattern})\s*\)\s*"
 )
 
 
 def parse_perm(src: str, table: NameTable | None = None) -> Perm:
-    """Parse a permutation literal such as ``(a b)(c d)``."""
+    """Parse a permutation literal such as ``(a b)(c d)`` or ``(a b) (c d)``."""
     if table is None:
         table = NameTable()
     swaps = []
     pos = len(src) - len(src.lstrip())
-    end = len(src.rstrip())
-    while pos < end:
-        m = _PERM_PAIR_RE.match(src, pos, end)
+    while pos < len(src):
+        m = _PERM_PAIR_RE.match(src, pos)
         if m is None:
-            raise ParseError(
-                "expected a parenthesized name pair like '(a b)'",
-                src.count("\n", 0, pos) + 1,
-                pos - src.rfind("\n", 0, pos),
-            )
+            line, col = _advance(src[:pos], 1, 1)
+            msg = "expected a parenthesized name pair like '(a b)'"
+            raise ParseError(msg, line, col)
         swaps.append((table.intern(m.group("a")), table.intern(m.group("b"))))
         pos = m.end()
     return tuple(swaps)

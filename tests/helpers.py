@@ -1,12 +1,13 @@
 """Plain-random helpers for building alpha-equal variants in tests, and
-reference copies of the recursive parser, printer and beta step."""
+reference copies of the recursive parser, printer and beta step, and of
+substitution before terms cached their largest name index."""
 
 import random
 
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec
-from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, fv, subst, term_act
+from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, _fold, fv, subst, term_act
 from nomset.nominal import NominalInstance, instance_name, instance_nameset, instance_pair
 from nomset.perms import swap_perm
 from nomset.suppfn import SuppFn
@@ -74,6 +75,49 @@ def term_tokens(t: Term) -> list:
         else:
             out.append(t.name)
     return out
+
+
+def max_name_id(t: Term) -> int:
+    """The largest name index in ``t``, binders included, by a walk that
+    shares no code with the terms' cached ``_top``."""
+    top, todo = -1, [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is App:
+            todo += (t.arg, t.fn)
+        elif kind is Lam:
+            top = max(top, t.binder.id)
+            todo.append(t.body)
+        else:
+            top = max(top, t.name.id)
+    return top
+
+
+def reference_subst(t: Term, a: Name, u: Term) -> Term:
+    """``subst`` with its high-water mark found by walking ``t`` and
+    ``u``; ``subst`` must give the same term, renamed binders included."""
+    target = a.id
+    top = max(target, max_name_id(t), max_name_id(u)) + 1
+    renamed: dict[int, Name | None] = {}
+    saved: list[Name | None] = []
+
+    def enter(node: Lam) -> None:
+        saved.append(renamed.get(node.binder.id))
+        renamed[node.binder.id] = Name(top + len(saved) - 1)
+
+    def var(node: Var) -> Term:
+        new = renamed.get(node.name.id)
+        if new is not None:
+            return Var(new)
+        return u if node.name.id == target else node
+
+    def lam(node: Lam, body: Term) -> Term:
+        new = renamed[node.binder.id]
+        renamed[node.binder.id] = saved.pop()
+        return Lam(new, body)
+
+    return _fold(t, var, lambda node, f, x: App(f, x), lam, enter)
 
 
 def fv_combinators():

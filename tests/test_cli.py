@@ -97,6 +97,13 @@ def test_main_parse_error_goes_to_stderr(capsys):
     assert captured.err.startswith("error:")
 
 
+def test_main_reports_the_line_after_each_carriage_return(capsys):
+    assert main(["fv", "x\ry\r)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 3:1: expected end of input, found ')'\n"
+
+
 @pytest.mark.parametrize(
     "args,stdout,code",
     [
@@ -113,6 +120,7 @@ def test_main_parse_error_goes_to_stderr(capsys):
             "(\\a. a a) (\\a. a a) fuel-exhausted\n",
             1,
         ),
+        (("perm", "(x y) (y z)", "x y z"), "z x y\n", 0),
     ],
 )
 def test_cli_golden(args, stdout, code):

@@ -7,7 +7,10 @@ assertion applies them to a deep term.
 """
 
 import copy
+import gc
+import math
 import signal
+import time
 from functools import cached_property
 
 import pytest
@@ -22,6 +25,7 @@ from nomset.lam import (
     Var,
     alpha_eq,
     alpha_rec,
+    beta_step,
     fv,
     normalize,
     subst,
@@ -33,7 +37,7 @@ from nomset.nominal import instance_nameset
 from nomset.perms import swap_perm
 from nomset.syntax import NameTable, parse_term, print_term
 
-from .helpers import db_tokens, fv_combinators, term_tokens
+from .helpers import db_tokens, fv_combinators, max_name_id, reference_beta_step, term_tokens
 
 N = 100_000
 x, y, z, w, v = Name(0), Name(1), Name(2), Name(7), Name(8)
@@ -118,6 +122,13 @@ def case(request) -> Case:
     return request.param()
 
 
+def test_cached_top_matches_a_walk(case):
+    # The largest index, w's, sits in the deepest leaf.
+    for t in (case.term, case.swapped, case.substituted):
+        assert t._top == max_name_id(t)
+    assert case.term._top == w.id
+
+
 def test_fv_and_term_size(case):
     assert fv(case.term) == case.free
     assert term_size(case.term) == case.size
@@ -170,6 +181,24 @@ def test_normalize_redex_at_the_bottom(case):
     got = normalize(case.build(App(Lam(v, Var(v)), Var(w))))
     assert (got.steps, got.normal_form) == (1, True)
     assert term_tokens(got.term) == term_tokens(case.term)
+
+
+def test_beta_step_stops_after_the_head_redex():
+    # ((\x. x) y) s, with s a normal spine of 2 * 10^5 nodes.  A step that
+    # searched s after contracting would take tens of milliseconds; the best
+    # of three is held to 5 ms, with gc run first so no collection of the
+    # spine lands inside a step.
+    s = left_spine_case().term
+    t = App(App(Lam(x, Var(x)), Var(y)), s)
+    gc.collect()
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        got = beta_step(t)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.005
+    assert term_tokens(got) == term_tokens(reference_beta_step(t))
+    assert got.fn == Var(y) and got.arg is s
 
 
 def test_normalize_resumes_after_each_contraction():

@@ -1,9 +1,13 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 
+import nomset.lam
 from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec, minimize_support
 from nomset.lam import (
@@ -37,7 +41,9 @@ from .helpers import (
     binder_chain,
     db_tokens,
     fv_combinators,
+    max_name_id,
     reference_beta_step,
+    reference_subst,
     rename_binders,
     term_tokens,
 )
@@ -100,6 +106,14 @@ def test_term_functions_reject_non_terms(fn):
     for bad in ("x", App(Var(x), 5), Lam(x, (x, y))):
         with pytest.raises(TypeError, match="not a term"):
             fn(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", [App(Var(y), 5), Lam(y, (x, y)), "x", App(App(Var(y), 5), Var(Name(9)))]
+)
+def test_subst_rejects_a_non_term_replacement(bad):
+    with pytest.raises(TypeError, match="not a term"):
+        subst(Var(x), x, bad)
 
 
 def test_term_act_identity():
@@ -301,6 +315,85 @@ def test_subst_respects_alpha_classes():
         a = name_gen()(rng)
         t2, u2 = rename_binders(t, rng), rename_binders(u, rng)
         assert alpha_eq(subst(t, a, u), subst(t2, a, u2))
+
+
+# Replacements whose largest name index is below, at and above the pool's.
+REPLACEMENTS = (
+    Var(x), Lam(y, Var(y)), Var(z), Var(w), Lam(Name(9), App(Var(x), Var(Name(8))))
+)
+
+
+def test_subst_matches_reference_subst_exhaustively():
+    for t in all_terms(6, POOL3):
+        assert t._top == max_name_id(t), t
+        for a in (*POOL3, w):
+            for u in REPLACEMENTS:
+                got = subst(t, a, u)
+                assert term_tokens(got) == term_tokens(reference_subst(t, a, u)), (t, a, u)
+
+
+def test_subst_matches_reference_subst_on_church_redexes(monkeypatch):
+    seen = []
+
+    def checked(t, a, u):
+        got = subst(t, a, u)
+        assert (t._top, u._top) == (max_name_id(t), max_name_id(u))
+        assert got._top == max_name_id(got)
+        assert term_tokens(got) == term_tokens(reference_subst(t, a, u))
+        seen.append(a)
+        return got
+
+    monkeypatch.setattr(nomset.lam, "subst", checked)
+    for k in range(1, 7):
+        result = normalize(App(church(k), church(2)), 2 ** (k + 1))
+        assert result.normal_form and result.term._top == max_name_id(result.term)
+    # c_k c_2 takes 2^(k+1) - 2 steps.
+    assert len(seen) == sum(2 ** (k + 1) - 2 for k in range(1, 7))
+
+
+def test_cached_top_stays_out_of_eq_hash_repr_and_patterns():
+    assert Var.__match_args__ == ("name",)
+    assert App.__match_args__ == ("fn", "arg")
+    assert Lam.__match_args__ == ("binder", "body")
+    t = Lam(x, App(Var(y), Var(x)))
+    assert repr(t) == (
+        "Lam(binder=Name(0), body=App(fn=Var(name=Name(1)), arg=Var(name=Name(0))))"
+    )
+    assert hash(t) == hash((x, App(Var(y), Var(x))))
+    odd = Var(y)
+    object.__setattr__(odd, "_top", 99)
+    assert odd == Var(y) and hash(odd) == hash((y,)) and repr(odd) == "Var(name=Name(1))"
+    match t:
+        case Lam(b, App(Var(f), Var(a))):
+            assert (b, f, a) == (x, y, x)
+        case _:
+            pytest.fail("class patterns no longer match")
+    assert dataclasses.replace(t, binder=Name(50))._top == 50
+
+
+def test_cached_top_of_a_non_term_child_spreads_to_every_ancestor():
+    bad = App(Var(x), 5)
+    for t in (bad, Lam(x, bad), App(bad, Var(Name(9))), App(Var(Name(9)), Lam(y, bad))):
+        assert t._top is None
+
+
+CLONES = [copy.copy, copy.deepcopy] + [
+    lambda t, p=p: pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)
+]
+
+
+@pytest.mark.parametrize("clone", CLONES)
+def test_copies_keep_cached_top(clone):
+    # A copy that lost _top would draw subst's new binders too low and
+    # capture Name(500).
+    big = Name(500)
+    for t in (Var(big), Lam(x, App(Var(big), Lam(big, Var(x)))), Lam(big, Lam(y, Var(y)))):
+        c = clone(t)
+        assert c == t and c._top == max_name_id(t) == 500
+        for body in (Lam(y, App(Var(x), Var(y))), Lam(Name(600), Var(x))):
+            assert term_tokens(subst(body, x, c)) == term_tokens(reference_subst(body, x, t))
+        got = subst(c, x, Var(big))
+        assert term_tokens(got) == term_tokens(reference_subst(t, x, Var(big)))
 
 
 def test_minimize_support_equals_fv_on_alpha_instance():

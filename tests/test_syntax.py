@@ -166,6 +166,11 @@ def test_parse_perm_interns_new_names():
     assert got == ((Name(0), Name(1)),)
 
 
+@pytest.mark.parametrize("src", ["(x y) (y z)", "  (x y)\t(y z) ", "(x y)\r\n(y z)\n"])
+def test_parse_perm_skips_whitespace_between_pairs(src):
+    assert parse_perm(src, fresh_table()) == ((x, y), (y, z))
+
+
 def test_parse_perm_rejects_garbage():
     with pytest.raises(ParseError):
         parse_perm("(a)", fresh_table())
@@ -176,10 +181,11 @@ def test_parse_perm_rejects_garbage():
 @pytest.mark.parametrize(
     "src, line, col",
     [
-        ("(a b) x", 1, 6),
-        ("   (a b) x", 1, 9),
+        ("(a b) x", 1, 7),
+        ("   (a b) x", 1, 10),
         ("\n  (a b)x", 2, 8),
-        ("(a\nb) (c d)", 2, 3),
+        ("(a\nb) (c d) x", 2, 10),
+        ("(a b)\r\n(c d)\r x", 3, 2),
     ],
 )
 def test_parse_perm_reports_position_in_the_callers_text(src, line, col):
@@ -187,6 +193,23 @@ def test_parse_perm_reports_position_in_the_callers_text(src, line, col):
         parse_perm(src, fresh_table())
     assert (err.value.line, err.value.col) == (line, col)
     assert err.value.message == "expected a parenthesized name pair like '(a b)'"
+
+
+# Every line break of str.splitlines, then mixed whitespace: "\r\n" is one
+# break, "\n\r" two, and tab, "\x1f" and no-break space are none.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize(
+    "src, line, col",
+    [(f"x{brk}y{brk}  )", 3, 3) for brk in LINE_BREAKS]
+    + [("x\n\ry)", 3, 2), ("x\t\x1f\u00a0y )", 1, 7), ("x \r\n\r\n y\n)", 4, 1)],
+)
+def test_parse_error_position_after_line_breaks(src, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_term(src, fresh_table())
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 # Strings and tuples are what the printer keeps on its own stack.
