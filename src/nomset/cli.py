@@ -3,121 +3,54 @@
 Subcommands: ``alphaeq``, ``fv``, ``subst``, ``perm``, ``fresh``,
 ``normalize``.  Exit codes are a stable contract: 0 for an affirmative
 answer or successful computation, 1 for a negative verdict (including a
-normalization that ran out of fuel), 2 for parse or usage errors.
+normalization that ran out of fuel), 2 for parse, usage and internal
+errors.
+
+One table, :data:`_COMMANDS`, describes every subcommand: its help text,
+its arguments in the order they are read into the shared
+:class:`~nomset.syntax.NameTable` (each with the reader that turns its
+text into a value), and the action that maps those values to stdout text
+and an exit code.  The argparse parser is built from that table on the
+first :func:`main` call and reused, never mutated, by every later call
+in the process, so in-process callers pay for its construction once.  A
+console invocation builds it once either way and gains nothing.
+
+:func:`main` is the one exit-code boundary.  A :class:`ParseError`, or
+any other exception raised while reading arguments or running the
+action (``MemoryError`` and ``RecursionError`` included), becomes one
+``error: ...`` line on stderr and exit 2, with nothing on stdout, so a
+crash never reads as the negative verdict 1.  argparse's own exits
+(``-h`` with 0, usage errors with 2) and ``KeyboardInterrupt`` pass
+through unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from .atoms import Name
 from .freshness import fresh_dec
-from .lam import Term, alpha_eq, fv, instance_term, normalize, subst, term_act
-from .perms import Perm
+from .lam import alpha_eq, fv, instance_term, normalize, subst, term_act
 from .syntax import IDENT_RE, NameTable, ParseError, parse_perm, parse_term, print_names, print_term
 
 
-@dataclass(frozen=True)
-class AlphaEqCmd:
-    left: Term
-    right: Term
+class _Arg(NamedTuple):
+    flag: str
+    read: Callable[[Any, NameTable], Any]  # (argparse value, table) -> value
+    options: dict[str, Any] = {}
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-")
 
 
-@dataclass(frozen=True)
-class FvCmd:
-    term: Term
-
-
-@dataclass(frozen=True)
-class SubstCmd:
-    term: Term
-    name: Name
-    replacement: Term
-
-
-@dataclass(frozen=True)
-class PermCmd:
-    perm: Perm
-    term: Term
-
-
-@dataclass(frozen=True)
-class FreshCmd:
-    name: Name
-    term: Term
-
-
-@dataclass(frozen=True)
-class NormalizeCmd:
-    term: Term
-    fuel: int
-
-
-Command = AlphaEqCmd | FvCmd | SubstCmd | PermCmd | FreshCmd | NormalizeCmd
-
-
-def run(cmd: Command, table: NameTable | None = None) -> tuple[str, int]:
-    """Execute one command; return its stdout text and exit code."""
-    if table is None:
-        table = NameTable()
-    match cmd:
-        case AlphaEqCmd(left, right):
-            verdict = alpha_eq(left, right)
-            return ("true" if verdict else "false", 0 if verdict else 1)
-        case FvCmd(term):
-            return (print_names(fv(term), table), 0)
-        case SubstCmd(term, name, replacement):
-            return (print_term(subst(term, name, replacement), table), 0)
-        case PermCmd(perm, term):
-            return (print_term(term_act(perm, term), table), 0)
-        case FreshCmd(name, term):
-            verdict = fresh_dec(instance_term(), name, term)
-            return ("true" if verdict else "false", 0 if verdict else 1)
-        case NormalizeCmd(term, fuel):
-            result = normalize(term, fuel)
-            text = print_term(result.term, table)
-            if result.normal_form:
-                return (f"{text} steps={result.steps}", 0)
-            return (f"{text} fuel-exhausted", 1)
-    raise TypeError(f"not a command: {cmd!r}")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nomset",
-        description="Term-level queries on lambda terms: alpha-equivalence, "
-        "free variables, substitution, permutation, freshness, "
-        "normalization.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("alphaeq", help="decide alpha-equivalence of two terms")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("fv", help="print the free variables of a term")
-    p.add_argument("term")
-
-    p = sub.add_parser("subst", help="capture-avoiding substitution")
-    p.add_argument("term")
-    p.add_argument("name")
-    p.add_argument("replacement")
-
-    p = sub.add_parser("perm", help="apply a permutation literal to a term")
-    p.add_argument("perm")
-    p.add_argument("term")
-
-    p = sub.add_parser("fresh", help="decide whether a name is fresh for a term")
-    p.add_argument("name")
-    p.add_argument("term")
-
-    p = sub.add_parser("normalize", help="beta-normalize with a fuel bound")
-    p.add_argument("term")
-    p.add_argument("--fuel", type=int, default=1000)
-
-    return parser
+class _Command(NamedTuple):
+    help: str
+    args: tuple[_Arg, ...]  # in reading order
+    action: Callable[..., tuple[str, int]]  # (table, *values) -> (stdout, code)
 
 
 def _parse_name(src: str, table: NameTable) -> Name:
@@ -126,39 +59,95 @@ def _parse_name(src: str, table: NameTable) -> Name:
     return table.intern(src)
 
 
+def _check_fuel(fuel: int, table: NameTable) -> int:
+    if fuel < 0:
+        raise ParseError("fuel must be nonnegative", 1, 1)
+    return fuel
+
+
+def _verdict(verdict: bool) -> tuple[str, int]:
+    return ("true", 0) if verdict else ("false", 1)
+
+
+def _normalize(table: NameTable, fuel: int, term) -> tuple[str, int]:
+    result = normalize(term, fuel)
+    text = print_term(result.term, table)
+    if result.normal_form:
+        return (f"{text} steps={result.steps}", 0)
+    return (f"{text} fuel-exhausted", 1)
+
+
+_COMMANDS: dict[str, _Command] = {
+    "alphaeq": _Command(
+        "decide alpha-equivalence of two terms",
+        (_Arg("left", parse_term), _Arg("right", parse_term)),
+        lambda table, left, right: _verdict(alpha_eq(left, right)),
+    ),
+    "fv": _Command(
+        "print the free variables of a term",
+        (_Arg("term", parse_term),),
+        lambda table, term: (print_names(fv(term), table), 0),
+    ),
+    "subst": _Command(
+        "capture-avoiding substitution",
+        (_Arg("term", parse_term), _Arg("name", _parse_name),
+         _Arg("replacement", parse_term)),
+        lambda table, term, name, u: (print_term(subst(term, name, u), table), 0),
+    ),
+    "perm": _Command(
+        "apply a permutation literal to a term",
+        (_Arg("perm", parse_perm), _Arg("term", parse_term)),
+        lambda table, perm, term: (print_term(term_act(perm, term), table), 0),
+    ),
+    "fresh": _Command(
+        "decide whether a name is fresh for a term",
+        (_Arg("name", _parse_name), _Arg("term", parse_term)),
+        lambda table, name, term: _verdict(fresh_dec(instance_term(), name, term)),
+    ),
+    # The fuel's sign is checked before the term is parsed.
+    "normalize": _Command(
+        "beta-normalize with a fuel bound",
+        (_Arg("--fuel", _check_fuel, {"type": int, "default": 1000}),
+         _Arg("term", parse_term)),
+        _normalize,
+    ),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nomset",
+        description="Term-level queries on lambda terms: alpha-equivalence, "
+        "free variables, substitution, permutation, freshness, "
+        "normalization.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.args:
+            p.add_argument(arg.flag, **arg.options)
+    return parser
+
+
+def _one_line(err: Exception) -> str:
+    text = " ".join(str(err).split())
+    return f"{type(err).__name__}: {text}" if text else type(err).__name__
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     table = NameTable()
     try:
-        match args.command:
-            case "alphaeq":
-                cmd: Command = AlphaEqCmd(
-                    parse_term(args.left, table), parse_term(args.right, table)
-                )
-            case "fv":
-                cmd = FvCmd(parse_term(args.term, table))
-            case "subst":
-                cmd = SubstCmd(
-                    parse_term(args.term, table),
-                    _parse_name(args.name, table),
-                    parse_term(args.replacement, table),
-                )
-            case "perm":
-                cmd = PermCmd(
-                    parse_perm(args.perm, table), parse_term(args.term, table)
-                )
-            case "fresh":
-                cmd = FreshCmd(
-                    _parse_name(args.name, table), parse_term(args.term, table)
-                )
-            case "normalize":
-                if args.fuel < 0:
-                    raise ParseError("fuel must be nonnegative", 1, 1)
-                cmd = NormalizeCmd(parse_term(args.term, table), args.fuel)
+        values = [arg.read(getattr(args, arg.dest), table) for arg in command.args]
+        out, code = command.action(table, *values)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    out, code = run(cmd, table)
+    except Exception as err:  # the exit-code boundary; see the module docstring
+        print(f"error: {_one_line(err)}", file=sys.stderr)
+        return 2
     print(out)
     return code
 

@@ -56,8 +56,9 @@ _set = object.__setattr__
 
 
 # A child that is not a term makes ``_top`` None, which spreads to every
-# ancestor: ``subst`` rejects such a term by it, the walkers on reaching
-# the bad node.
+# ancestor: ``subst``, ``fv``, ``to_debruijn`` and ``print_term`` reject
+# such a term by its root (:func:`_check_term`), the other walkers on
+# reaching the bad node.
 @dataclass(frozen=True, slots=True)
 class Var:
     name: Name
@@ -109,6 +110,12 @@ class Lam:
 
 
 Term = Union[Var, App, Lam]
+
+
+def _check_term(t: Term) -> None:
+    """O(1): a root whose ``_top`` is None, or that has none, is no term."""
+    if getattr(t, "_top", None) is None:
+        raise TypeError("not a term")
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,6 +183,7 @@ def term_act(p: Perm, t: Term) -> Term:
 def fv(t: Term) -> NameSet:
     """Free variables; the support of the alpha-instance.  One output set,
     and a count of enclosing binders per name index, so no set is copied."""
+    _check_term(t)
     out: set[Name] = set()
     bound: dict[int, int] = {}
 
@@ -246,6 +254,7 @@ def instance_term() -> NominalInstance[Term]:
 def to_debruijn(t: Term) -> DbTerm:
     """Nameless conversion: bound occurrences become binder-depth indices,
     free occurrences stay named."""
+    _check_term(t)
     level: dict[int, int | None] = {}
     saved: list[int | None] = []
 

@@ -36,6 +36,7 @@ from nomset.nominal import NominalInstance, check_laws, instance_name, instance_
 from nomset.perms import perm_apply, swap_perm
 from nomset.samplers import name_gen, term_gen
 from nomset.suppfn import SuppFn
+from nomset.syntax import print_term
 
 from .helpers import (
     binder_chain,
@@ -114,6 +115,15 @@ def test_term_functions_reject_non_terms(fn):
 def test_subst_rejects_a_non_term_replacement(bad):
     with pytest.raises(TypeError, match="not a term"):
         subst(Var(x), x, bad)
+
+
+# A name that is not a Name leaves the root's ``_top`` None, which each of
+# these checks at entry instead of failing on ``.id`` inside the walk.
+@pytest.mark.parametrize("fn", [fv, to_debruijn, print_term])
+@pytest.mark.parametrize("bad", [Var(5), Lam(x, Var(5)), App(Var(x), Var(5))])
+def test_a_var_whose_name_is_not_a_name_is_not_a_term(fn, bad):
+    with pytest.raises(TypeError, match="not a term"):
+        fn(bad)
 
 
 def test_term_act_identity():
