@@ -10,7 +10,9 @@ downstream wants the alpha view.
 Each node caches ``_top``, the largest name index it contains, binders
 included, filled in O(1) from its children when it is built.
 :func:`subst` reads its fresh-name mark from the cached values of its two
-terms, so the term it inserts is never walked.
+terms, so the term it inserts is never walked.  :func:`term_act` runs its
+swap word once, into the image of the moved names, and then looks each
+name up, so it costs O(|p| + n) on a term of n nodes.
 
 Every traversal runs on an explicit stack, so depth is bounded by memory,
 not the recursion limit.  :func:`fv`, :func:`term_act`, :func:`term_size`,
@@ -46,7 +48,7 @@ from typing import Iterator, TypeVar, Union
 from .abstraction import Abstraction
 from .atoms import Name, NameSet
 from .nominal import NominalInstance
-from .perms import Perm, perm_apply
+from .perms import Perm, _image
 from .suppfn import SuppFn, fcb_lift
 
 Y = TypeVar("Y")
@@ -174,10 +176,13 @@ def _fold(t: Term, var, app, lam, enter=None):
 
 
 def term_act(p: Perm, t: Term) -> Term:
-    """Apply a permutation to every name in the term, binders included."""
-    return _fold(t, lambda node: Var(perm_apply(p, node.name)),
+    """Apply a permutation to every name in the term, binders included.
+    The word is run once, into its image; each name is then one lookup."""
+    _check_term(t)
+    get = _image(p).get
+    return _fold(t, lambda node: Var(get(node.name.id, node.name)),
                  lambda node, f, x: App(f, x),
-                 lambda node, s: Lam(perm_apply(p, node.binder), s))
+                 lambda node, s: Lam(get(node.binder.id, node.binder), s))
 
 
 def fv(t: Term) -> NameSet:
@@ -212,37 +217,42 @@ def alpha_eq(t: Term, u: Term) -> bool:
     building them; agreement with that oracle and with the one-shot
     abstraction procedure is part of the test suite.
     """
-    if t is u:
-        return True
-    # Maps are keyed by name index: hashing an int is cheaper than
-    # hashing a Name, and indices identify names.
-    lt: dict[int, int | None] = {}
-    lu: dict[int, int | None] = {}
-    depth, todo = 0, [(t, u)]
-    while todo:
-        t, u = todo.pop()
-        if t is _RESTORE:
-            a, saved_a, b, saved_b = u
-            lt[a], lu[b] = saved_a, saved_b
-            depth -= 1
-            continue
-        kind = type(t)
-        if kind is not type(u):
-            return False
-        if kind is Var:
-            a, b = t.name.id, u.name.id
-            i, j = lt.get(a), lu.get(b)
-            if i != j or (i is None and a != b):
+    try:
+        # A root without a ``_top`` is not a term; one whose ``_top`` is
+        # None holds a bad node, which the walk reaches and rejects.
+        if t is u and t._top is not None:
+            return True
+        # Maps are keyed by name index: hashing an int is cheaper than
+        # hashing a Name, and indices identify names.
+        lt: dict[int, int | None] = {}
+        lu: dict[int, int | None] = {}
+        depth, todo = 0, [(t, u)]
+        while todo:
+            t, u = todo.pop()
+            if t is _RESTORE:
+                a, saved_a, b, saved_b = u
+                lt[a], lu[b] = saved_a, saved_b
+                depth -= 1
+                continue
+            kind = type(t)
+            if kind is not type(u):
                 return False
-        elif kind is App:
-            todo += ((t.arg, u.arg), (t.fn, u.fn))
-        elif kind is Lam:
-            a, b = t.binder.id, u.binder.id
-            todo += ((_RESTORE, (a, lt.get(a), b, lu.get(b))), (t.body, u.body))
-            lt[a] = lu[b] = depth
-            depth += 1
-        else:
-            return False
+            if kind is Var:
+                a, b = t.name.id, u.name.id
+                i, j = lt.get(a), lu.get(b)
+                if i != j or (i is None and a != b):
+                    return False
+            elif kind is App:
+                todo += ((t.arg, u.arg), (t.fn, u.fn))
+            elif kind is Lam:
+                a, b = t.binder.id, u.binder.id
+                todo += ((_RESTORE, (a, lt.get(a), b, lu.get(b))), (t.body, u.body))
+                lt[a] = lu[b] = depth
+                depth += 1
+            else:
+                raise TypeError("not a term")
+    except AttributeError:  # a Var or Lam holding something other than a Name
+        raise TypeError("not a term") from None
     return True
 
 

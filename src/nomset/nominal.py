@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
 from .atoms import Name, NameSet, fresh_many
-from .perms import Perm, perm_apply, perm_compose, swap_perm
+from .perms import Perm, _nameset_act, perm_apply, perm_compose, swap_perm
 
 X = TypeVar("X")
 Y = TypeVar("Y")
@@ -169,7 +169,7 @@ def instance_nameset() -> NominalInstance[NameSet]:
     own support."""
     return NominalInstance(
         equiv=lambda s, t: s == t,
-        act=lambda p, s: frozenset(perm_apply(p, a) for a in s),
+        act=_nameset_act,
         support=lambda s: s,
     )
 
@@ -238,9 +238,10 @@ def _equivalent_value(
     rng: random.Random, inst: NominalInstance[X], x: X
 ) -> X:
     # For a lawful instance, swapping two fresh names fixes x up to equiv.
-    a, b = fresh_many(inst.support(x), 2)
+    # The pair is drawn only when used; drawing it consumes no randomness.
     if rng.random() < 0.3:
         return x
+    a, b = fresh_many(inst.support(x), 2)
     return inst.act(swap_perm(a, b), x)
 
 

@@ -5,9 +5,13 @@ of swaps applied left to right.  Every such word denotes a finite bijection
 on names: composition is concatenation, the inverse is the reversed word,
 and the empty tuple is the identity.
 
-Words are not normalized.  Two words are compared extensionally with
-``perm_equiv``, which only needs to probe the names mentioned in either
-word: everything else is fixed by both.
+Words are not normalized.  Every operation that needs the bijection itself
+runs the word once, comparing name indices: :func:`_image` turns a word
+into its moved-name image, a map from each moved name's index to its image,
+in one O(|p|) pass.  Two words are compared extensionally with
+``perm_equiv``, which compares their images, so it costs O(|p| + |q|);
+actions on many names (terms, name sets, supports) build the image once
+and then look each name up.
 """
 
 from __future__ import annotations
@@ -35,10 +39,54 @@ def swap_apply(s: Swap, c: Name) -> Name:
 
 
 def perm_apply(p: Perm, a: Name) -> Name:
-    """Apply the swaps of ``p`` to ``a``, first swap first."""
-    for s in p:
-        a = swap_apply(s, a)
+    """Apply the swaps of ``p`` to ``a``, first swap first.  Anything that
+    is not a ``Name`` is fixed."""
+    if type(a) is not Name:
+        return a
+    i = a.id
+    for x, y in p:
+        if x.id == i:
+            a = y
+            i = a.id
+        elif y.id == i:
+            a = x
+            i = a.id
     return a
+
+
+def _image(p: Perm) -> dict[int, Name]:
+    """The moved names of ``p``: each one's index mapped to its image.
+
+    One pass over the word.  ``inv`` maps each moved name's image index
+    back to the name, so the swap ``(x, y)`` finds the two names currently
+    sent to ``x`` and ``y`` in O(1) and exchanges their images; a name
+    sent back to itself is dropped, so equal bijections give equal maps.
+    """
+    img: dict[int, Name] = {}
+    inv: dict[int, Name] = {}
+    for x, y in p:
+        i, j = x.id, y.id
+        if i == j:
+            continue
+        m = inv.pop(i, x)  # the name sent to x so far, now sent to y
+        n = inv.pop(j, y)  # the name sent to y so far, now sent to x
+        if m.id == j:
+            del img[j]
+        else:
+            img[m.id] = y
+            inv[j] = m
+        if n.id == i:
+            del img[i]
+        else:
+            img[n.id] = x
+            inv[i] = n
+    return img
+
+
+def _nameset_act(p: Perm, s: NameSet) -> NameSet:
+    """The elementwise image of a name set, one lookup per name."""
+    get = _image(p).get
+    return frozenset([get(a.id, a) for a in s])
 
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
@@ -56,11 +104,6 @@ def perm_domain(p: Perm) -> NameSet:
 
 
 def perm_equiv(p: Perm, q: Perm) -> bool:
-    """Extensional equality of the denoted bijections.
-
-    Names outside ``perm_domain(p) | perm_domain(q)`` are fixed by both
-    permutations, so agreement on that finite union implies agreement
-    everywhere.
-    """
-    probe = perm_domain(p) | perm_domain(q)
-    return all(perm_apply(p, a) == perm_apply(q, a) for a in probe)
+    """Extensional equality of the denoted bijections: both words move the
+    same names to the same images, and fix every other name."""
+    return _image(p) == _image(q)

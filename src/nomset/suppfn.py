@@ -42,7 +42,7 @@ from .abstraction import Abstraction, instance_abstraction
 from .atoms import Name, NameSet, fresh_for, fresh_many
 from .freshness import fresh_dec
 from .nominal import DEFAULT_POOL, Gen, NominalInstance, instance_name
-from .perms import Perm, perm_apply, perm_inverse, swap_perm
+from .perms import Perm, _nameset_act, perm_inverse, swap_perm
 
 X = TypeVar("X")
 Y = TypeVar("Y")
@@ -68,7 +68,7 @@ def fn_act(p: Perm, f: SuppFn[X, Y]) -> SuppFn[X, Y]:
     inv = perm_inverse(p)
     return SuppFn(
         fn=lambda x: f.cod.act(p, f.fn(f.dom.act(inv, x))),
-        supp=frozenset(perm_apply(p, a) for a in f.supp),
+        supp=_nameset_act(p, f.supp),
         dom=f.dom,
         cod=f.cod,
     )

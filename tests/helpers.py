@@ -1,6 +1,7 @@
 """Plain-random helpers for building alpha-equal variants in tests, and
-reference copies of the recursive parser, printer and beta step, and of
-substitution before terms cached their largest name index."""
+reference copies of the recursive parser, printer and beta step, of
+substitution before terms cached their largest name index, and of the
+permutation action and equivalence that ran the swap word once per name."""
 
 import random
 
@@ -9,7 +10,7 @@ from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec
 from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, _fold, fv, subst, term_act
 from nomset.nominal import NominalInstance, instance_name, instance_nameset, instance_pair
-from nomset.perms import swap_perm
+from nomset.perms import perm_domain, swap_apply, swap_perm
 from nomset.suppfn import SuppFn
 from nomset.syntax import _KIND_LABEL, _TOKEN_RE, NameTable, ParseError
 
@@ -118,6 +119,27 @@ def reference_subst(t: Term, a: Name, u: Term) -> Term:
         return Lam(new, body)
 
     return _fold(t, var, lambda node, f, x: App(f, x), lam, enter)
+
+
+def reference_perm_apply(p, a):
+    """``perm_apply`` as one ``swap_apply`` call per swap."""
+    for s in p:
+        a = swap_apply(s, a)
+    return a
+
+
+def reference_perm_equiv(p, q) -> bool:
+    """``perm_equiv`` by probing every name either word mentions through
+    both words: every other name is fixed by both."""
+    probe = perm_domain(p) | perm_domain(q)
+    return all(reference_perm_apply(p, a) == reference_perm_apply(q, a) for a in probe)
+
+
+def reference_term_act(p, t: Term) -> Term:
+    """``term_act`` running the whole word at every name."""
+    return _fold(t, lambda node: Var(reference_perm_apply(p, node.name)),
+                 lambda node, f, x: App(f, x),
+                 lambda node, s: Lam(reference_perm_apply(p, node.binder), s))
 
 
 def fv_combinators():

@@ -12,6 +12,10 @@ names = st.sampled_from(POOL)
 wide_names = st.builds(Name, st.integers(0, 20))
 swaps = st.tuples(names, names)
 perms = st.lists(swaps, max_size=5).map(tuple)
+# Words over a wider range of names, mixing swaps inside the pool, swaps
+# reaching outside it, and degenerate swaps (a, a).
+messy_swaps = st.one_of(swaps, st.tuples(names, wide_names), wide_names.map(lambda n: (n, n)))
+messy_perms = st.lists(messy_swaps, max_size=8).map(tuple)
 
 term_names = st.sampled_from(TERM_POOL)
 terms = st.recursive(

@@ -11,6 +11,7 @@ import gc
 import math
 import signal
 import time
+from contextlib import contextmanager
 from functools import cached_property
 
 import pytest
@@ -34,15 +35,51 @@ from nomset.lam import (
     to_debruijn,
 )
 from nomset.nominal import instance_nameset
-from nomset.perms import swap_perm
+from nomset.perms import perm_apply, perm_equiv, swap_perm
 from nomset.syntax import NameTable, parse_term, print_term
 
-from .helpers import db_tokens, fv_combinators, max_name_id, reference_beta_step, term_tokens
+from .helpers import (
+    db_tokens,
+    fv_combinators,
+    max_name_id,
+    reference_beta_step,
+    reference_perm_apply,
+    term_tokens,
+)
 
 N = 100_000
 x, y, z, w, v = Name(0), Name(1), Name(2), Name(7), Name(8)
 XYZ = (x, y, z)
 LABELS = {"x": x, "y": y, "z": z, "w": w, "v": v}
+
+
+@contextmanager
+def deadline(seconds, what):
+    """Raise ``TimeoutError`` if the body runs past ``seconds``.  The alarm
+    repeats: one that lands in a gc callback (hypothesis installs one) is
+    reported as unraisable instead of raised."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 1)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def renamed_tokens(t, rename):
+    """``term_tokens(t)`` with ``rename`` applied to every name."""
+    out = []
+    for tok in term_tokens(t):
+        if type(tok) is tuple:
+            out.append((tok[0], rename(tok[1])))
+        else:
+            out.append(rename(tok) if type(tok) is Name else tok)
+    return out
 
 
 class Case:
@@ -138,17 +175,39 @@ def test_to_debruijn(case):
     assert db_tokens(to_debruijn(case.term)) == case.tokens
 
 
+def test_term_act_of_a_long_word(case):
+    # (n0 n1)(n1 n2)...(n999 n1000) sends n0 to n1000 and every other n_k
+    # to n_(k-1), so every name in the term moves.  Running the word once
+    # into its image takes a fraction of a second; running it at each of
+    # the 10^5 names takes minutes.
+    p = tuple((Name(k), Name(k + 1)) for k in range(1000))
+    with deadline(10, "term_act of a 1000-swap word"):
+        got = term_act(p, case.term)
+    image = {n: reference_perm_apply(p, n) for n in (x, y, z, w)}
+    assert term_tokens(got) == renamed_tokens(case.term, image.__getitem__)
+
+
+def test_perm_equiv_of_long_words():
+    # Two words for the cycle n0 -> n(N-1) -> ... -> n1 -> n0 over 10^4
+    # names: (n0 n1)(n1 n2)... and (n0 n(N-1))(n0 n(N-2))...(n0 n1).
+    # Comparing images is linear; probing each of the 10^4 names through
+    # both words takes minutes.
+    n = 10_000
+    p = tuple((Name(k), Name(k + 1)) for k in range(n - 1))
+    q = tuple((Name(0), Name(k)) for k in reversed(range(1, n)))
+    r = q[:-2] + (q[-1], q[-2])
+    with deadline(10, "perm_equiv of two 10^4-swap words"):
+        assert perm_equiv(p, q)
+        assert not perm_equiv(p, r)
+    assert perm_apply(q, Name(0)) == Name(n - 1)
+    assert perm_apply(q, Name(n - 1)) == Name(n - 2)
+
+
 def test_term_act_renames_free_and_bound_names(case):
     def swap(n):
         return {x: v, v: x}.get(n, n)
 
-    expected = []
-    for tok in term_tokens(case.term):
-        if type(tok) is tuple:
-            expected.append((tok[0], swap(tok[1])))
-        else:
-            expected.append(swap(tok) if type(tok) is Name else tok)
-    assert term_tokens(case.swapped) == expected
+    assert term_tokens(case.swapped) == renamed_tokens(case.term, swap)
 
 
 def test_subst_avoids_capture(case):
@@ -205,24 +264,13 @@ def test_normalize_resumes_after_each_contraction():
     # x ((\v. v) w) ... ((\v. v) w): every redex is an argument on a left
     # spine 2 * 10^4 deep.  Resuming at the contractum walks the spine once,
     # well under a second; a search restarted from the root at every step
-    # walks it 2 * 10^4 times, for minutes, so the walk gets a deadline.  The
-    # alarm repeats: one that lands in a gc callback (hypothesis installs one)
-    # is reported as unraisable instead of raised.
+    # walks it 2 * 10^4 times, for minutes, so the walk gets a deadline.
     n = 20_000
     t = Var(x)
     for _ in range(n):
         t = App(t, App(Lam(v, Var(v)), Var(w)))
-
-    def too_slow(signum, frame):
-        raise TimeoutError("normalize of the redex spine took over 10 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 10, 1)
-    try:
+    with deadline(10, "normalize of the redex spine"):
         got = normalize(t, n)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert (got.steps, got.normal_form) == (n, True)
     assert term_tokens(got.term) == ["@"] * n + [x] + [w] * n
 

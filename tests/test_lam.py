@@ -45,10 +45,11 @@ from .helpers import (
     max_name_id,
     reference_beta_step,
     reference_subst,
+    reference_term_act,
     rename_binders,
     term_tokens,
 )
-from .strategies import perms, terms
+from .strategies import messy_perms, perms, terms
 
 x, y, z = Name(0), Name(1), Name(2)
 POOL3 = (x, y, z)
@@ -101,6 +102,8 @@ INNERMOST = {n: max(i for i in range(DEEP) if DEEP_SHADOWED[i] == n) for n in PO
         to_debruijn,
         lambda t: term_act(swap_perm(x, y), t),
         lambda t: subst(t, x, Var(y)),
+        lambda t: alpha_eq(t, t),
+        lambda t: alpha_eq(t, copy.copy(t)),
     ],
 )
 def test_term_functions_reject_non_terms(fn):
@@ -118,12 +121,31 @@ def test_subst_rejects_a_non_term_replacement(bad):
 
 
 # A name that is not a Name leaves the root's ``_top`` None, which each of
-# these checks at entry instead of failing on ``.id`` inside the walk.
-@pytest.mark.parametrize("fn", [fv, to_debruijn, print_term])
+# these checks at entry instead of failing on ``.id`` inside the walk;
+# ``alpha_eq`` checks it when both sides are one term, and otherwise
+# rejects the bad node when its walk reaches it.
+@pytest.mark.parametrize(
+    "fn",
+    [
+        fv,
+        to_debruijn,
+        print_term,
+        lambda t: term_act((), t),
+        lambda t: term_act(swap_perm(x, y), t),
+        lambda t: alpha_eq(t, t),
+        lambda t: alpha_eq(t, copy.copy(t)),
+    ],
+)
 @pytest.mark.parametrize("bad", [Var(5), Lam(x, Var(5)), App(Var(x), Var(5))])
 def test_a_var_whose_name_is_not_a_name_is_not_a_term(fn, bad):
     with pytest.raises(TypeError, match="not a term"):
         fn(bad)
+
+
+@pytest.mark.parametrize("t,u", [(Var(5), Var(x)), (Var(x), Var(5))])
+def test_alpha_eq_rejects_a_var_whose_name_is_not_a_name(t, u):
+    with pytest.raises(TypeError, match="not a term"):
+        alpha_eq(t, u)
 
 
 def test_term_act_identity():
@@ -139,6 +161,32 @@ def test_term_act_renames_binders_too():
 @given(perms, perms, terms)
 def test_term_act_compat(p, q, t):
     assert term_act(p, term_act(q, t)) == term_act(q + p, t)
+
+
+# The identity, a degenerate swap, swaps inside the pool and reaching out
+# of it, a 3-cycle, a word that cancels, and a word over names beyond it.
+ACT_WORDS = (
+    (),
+    ((x, x),),
+    ((x, y),),
+    ((y, x), (z, y)),
+    ((x, w),),
+    ((w, x), (x, y), (y, w)),
+    ((x, y), (y, x)),
+    ((Name(9), Name(8)), (z, Name(9))),
+)
+
+
+def test_term_act_matches_reference_term_act_exhaustively():
+    for t in all_terms(6, POOL3):
+        for p in ACT_WORDS:
+            got = term_act(p, t)
+            assert term_tokens(got) == term_tokens(reference_term_act(p, t)), (p, t)
+
+
+@given(messy_perms, terms)
+def test_term_act_matches_reference_term_act(p, t):
+    assert term_tokens(term_act(p, t)) == term_tokens(reference_term_act(p, t))
 
 
 def test_fv_var():

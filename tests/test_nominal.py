@@ -4,6 +4,8 @@ import pytest
 
 from nomset.atoms import Name
 from nomset.nominal import (
+    LawReport,
+    LawResult,
     Left,
     NominalInstance,
     Right,
@@ -117,6 +119,32 @@ def test_broken_support_fails_support_spec_with_witness():
     assert "support_spec" in failed
     witness = next(r for r in report.results if r.law == "support_spec")
     assert witness.counterexample is not None
+
+
+def test_broken_instance_report_is_pinned():
+    # An equivalence that is not symmetric and a support that misses the
+    # name: three laws fail, two of them on values from the equivalent-value
+    # draw.  The counterexamples are fixed by the seed's random stream.
+    broken = NominalInstance(
+        equiv=lambda m, n: m.id <= n.id,
+        act=perm_apply,
+        support=lambda m: frozenset(),
+    )
+    n0, n1, n2, n4 = Name(0), Name(1), Name(2), Name(4)
+    assert check_laws(broken, name_gen(), trials=20, seed=1) == LawReport((
+        LawResult("equiv_reflexive", 20, True),
+        LawResult("equiv_symmetric", 20, False, (n2, n1)),
+        LawResult("equiv_transitive", 20, True),
+        LawResult("gact_id", 20, True),
+        LawResult("gact_compat", 20, True),
+        LawResult("gact_proper", 20, False, (
+            ((n0, n4), (n4, n1), (n4, n0)),
+            ((n2, n0), (n2, n0), (n2, n4), (n2, n4), (n0, n4), (n4, n1), (n4, n0)),
+            n0,
+            n1,
+        )),
+        LawResult("support_spec", 20, False, (n0, n1, n0)),
+    ))
 
 
 @pytest.mark.parametrize("label,inst,gen", SHIPPED, ids=[s[0] for s in SHIPPED])

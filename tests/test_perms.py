@@ -1,7 +1,10 @@
 from hypothesis import given
+from hypothesis import strategies as st
 
 from nomset.atoms import Name, fresh_for
+from nomset.nominal import _equivalent_perm
 from nomset.perms import (
+    _image,
     perm_apply,
     perm_compose,
     perm_domain,
@@ -10,9 +13,24 @@ from nomset.perms import (
     swap_apply,
 )
 
-from .strategies import names, perms
+from .helpers import reference_perm_apply, reference_perm_equiv
+from .strategies import POOL, messy_perms, names, perms, wide_names
 
 a, b, c, d = Name(0), Name(1), Name(2), Name(3)
+
+# Every word of at most two swaps over three names: 1 + 9 + 81.
+SWAPS3 = [(m, n) for m in (a, b, c) for n in (a, b, c)]
+WORDS2 = [()] + [(s,) for s in SWAPS3] + [(s, t) for s in SWAPS3 for t in SWAPS3]
+
+
+def reference_image(p):
+    """Each moved name's index mapped to its image, by the reference."""
+    moved = {}
+    for n in perm_domain(p):
+        m = reference_perm_apply(p, n)
+        if m != n:
+            moved[n.id] = m
+    return moved
 
 
 def test_swap_apply_first():
@@ -128,3 +146,46 @@ def test_injective_on_probe_set(p):
     probe = [Name(i) for i in range(10)]
     images = [perm_apply(p, x) for x in probe]
     assert len(set(images)) == len(probe)
+
+
+def test_perm_apply_fixes_what_is_not_a_name():
+    for v in (5, "x", None, (a, b)):
+        assert perm_apply(((a, b), (b, c)), v) is v
+
+
+def test_image_drops_fixed_points():
+    assert _image(((a, a),)) == {}
+    assert _image(((a, b), (b, a))) == {}
+    assert _image(((a, b), (b, c))) == {a.id: c, b.id: a, c.id: b}
+
+
+def test_perm_equiv_matches_reference_on_every_pair_of_short_words():
+    assert len(WORDS2) == 91
+    for p in WORDS2:
+        for q in WORDS2:
+            assert perm_equiv(p, q) == reference_perm_equiv(p, q), (p, q)
+
+
+def test_perm_apply_and_image_match_reference_on_every_short_word():
+    for p in WORDS2:
+        for n in (a, b, c, d):
+            assert perm_apply(p, n) == reference_perm_apply(p, n), (p, n)
+        assert _image(p) == reference_image(p), p
+
+
+@given(messy_perms, messy_perms)
+def test_perm_equiv_matches_reference(p, q):
+    assert perm_equiv(p, q) == reference_perm_equiv(p, q)
+
+
+@given(messy_perms, st.randoms(use_true_random=False))
+def test_perm_equiv_accepts_rewritten_words(p, rng):
+    # Degenerate swaps, doubled swaps and flipped pairs keep the bijection.
+    q = _equivalent_perm(rng, p, POOL)
+    assert perm_equiv(p, q) and reference_perm_equiv(p, q)
+
+
+@given(messy_perms, wide_names)
+def test_perm_apply_and_image_match_reference(p, n):
+    assert perm_apply(p, n) == reference_perm_apply(p, n)
+    assert _image(p) == reference_image(p)
