@@ -7,6 +7,13 @@ syntactic instance, where support would be every occurring name, is easy
 to build from the same pieces but deliberately not shipped: everything
 downstream wants the alpha view.
 
+The three node constructors are the only place that decides what a term
+is: a name is an object with an ``int`` ``id``, and a ``Var``, ``App`` or
+``Lam`` given a child that is not a name or a node raises
+``TypeError("not a term")`` when it is built.  Every node reached from a
+root is therefore well formed, and a function given a root that is not a
+node at all raises the same error from its dispatch.
+
 Each node caches ``_top``, the largest name index it contains, binders
 included, filled in O(1) from its children when it is built.
 :func:`subst` reads its fresh-name mark from the cached values of its two
@@ -41,6 +48,7 @@ demo plumbing, not part of the core theory.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, TypeVar, Union
@@ -57,21 +65,16 @@ Y = TypeVar("Y")
 _set = object.__setattr__
 
 
-# A child that is not a term makes ``_top`` None, which spreads to every
-# ancestor: ``subst``, ``fv``, ``to_debruijn`` and ``print_term`` reject
-# such a term by its root (:func:`_check_term`), the other walkers on
-# reaching the bad node.
 @dataclass(frozen=True, slots=True)
 class Var:
     name: Name
-    _top: int | None = field(init=False, repr=False, compare=False)
+    _top: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, name: Name) -> None:
+        top = getattr(name, "id", None)
+        if type(top) is not int:
+            raise TypeError("not a term")
         _set(self, "name", name)
-        try:
-            top = name.id
-        except AttributeError:
-            top = None
         _set(self, "_top", top)
 
 
@@ -79,45 +82,37 @@ class Var:
 class App:
     fn: "Term"
     arg: "Term"
-    _top: int | None = field(init=False, repr=False, compare=False)
+    _top: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, fn: "Term", arg: "Term") -> None:
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
         try:
             top, other = fn._top, arg._top
-            if other > top:
-                top = other
-        except (AttributeError, TypeError):
-            top = None
-        _set(self, "_top", top)
+        except AttributeError:
+            raise TypeError("not a term") from None
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "_top", other if other > top else top)
 
 
 @dataclass(frozen=True, slots=True)
 class Lam:
     binder: Name
     body: "Term"
-    _top: int | None = field(init=False, repr=False, compare=False)
+    _top: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, binder: Name, body: "Term") -> None:
-        _set(self, "binder", binder)
-        _set(self, "body", body)
         try:
             top, other = binder.id, body._top
-            if other > top:
-                top = other
-        except (AttributeError, TypeError):
-            top = None
-        _set(self, "_top", top)
+        except AttributeError:
+            raise TypeError("not a term") from None
+        if type(top) is not int:
+            raise TypeError("not a term")
+        _set(self, "binder", binder)
+        _set(self, "body", body)
+        _set(self, "_top", other if other > top else top)
 
 
 Term = Union[Var, App, Lam]
-
-
-def _check_term(t: Term) -> None:
-    """O(1): a root whose ``_top`` is None, or that has none, is no term."""
-    if getattr(t, "_top", None) is None:
-        raise TypeError("not a term")
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +173,6 @@ def _fold(t: Term, var, app, lam, enter=None):
 def term_act(p: Perm, t: Term) -> Term:
     """Apply a permutation to every name in the term, binders included.
     The word is run once, into its image; each name is then one lookup."""
-    _check_term(t)
     get = _image(p).get
     return _fold(t, lambda node: Var(get(node.name.id, node.name)),
                  lambda node, f, x: App(f, x),
@@ -188,7 +182,6 @@ def term_act(p: Perm, t: Term) -> Term:
 def fv(t: Term) -> NameSet:
     """Free variables; the support of the alpha-instance.  One output set,
     and a count of enclosing binders per name index, so no set is copied."""
-    _check_term(t)
     out: set[Name] = set()
     bound: dict[int, int] = {}
 
@@ -217,42 +210,37 @@ def alpha_eq(t: Term, u: Term) -> bool:
     building them; agreement with that oracle and with the one-shot
     abstraction procedure is part of the test suite.
     """
-    try:
-        # A root without a ``_top`` is not a term; one whose ``_top`` is
-        # None holds a bad node, which the walk reaches and rejects.
-        if t is u and t._top is not None:
-            return True
-        # Maps are keyed by name index: hashing an int is cheaper than
-        # hashing a Name, and indices identify names.
-        lt: dict[int, int | None] = {}
-        lu: dict[int, int | None] = {}
-        depth, todo = 0, [(t, u)]
-        while todo:
-            t, u = todo.pop()
-            if t is _RESTORE:
-                a, saved_a, b, saved_b = u
-                lt[a], lu[b] = saved_a, saved_b
-                depth -= 1
-                continue
-            kind = type(t)
-            if kind is not type(u):
+    if t is u and type(t) in (Var, App, Lam):
+        return True
+    # Maps are keyed by name index: hashing an int is cheaper than
+    # hashing a Name, and indices identify names.
+    lt: dict[int, int | None] = {}
+    lu: dict[int, int | None] = {}
+    depth, todo = 0, [(t, u)]
+    while todo:
+        t, u = todo.pop()
+        if t is _RESTORE:
+            a, saved_a, b, saved_b = u
+            lt[a], lu[b] = saved_a, saved_b
+            depth -= 1
+            continue
+        kind = type(t)
+        if kind is not type(u):
+            return False
+        if kind is Var:
+            a, b = t.name.id, u.name.id
+            i, j = lt.get(a), lu.get(b)
+            if i != j or (i is None and a != b):
                 return False
-            if kind is Var:
-                a, b = t.name.id, u.name.id
-                i, j = lt.get(a), lu.get(b)
-                if i != j or (i is None and a != b):
-                    return False
-            elif kind is App:
-                todo += ((t.arg, u.arg), (t.fn, u.fn))
-            elif kind is Lam:
-                a, b = t.binder.id, u.binder.id
-                todo += ((_RESTORE, (a, lt.get(a), b, lu.get(b))), (t.body, u.body))
-                lt[a] = lu[b] = depth
-                depth += 1
-            else:
-                raise TypeError("not a term")
-    except AttributeError:  # a Var or Lam holding something other than a Name
-        raise TypeError("not a term") from None
+        elif kind is App:
+            todo += ((t.arg, u.arg), (t.fn, u.fn))
+        elif kind is Lam:
+            a, b = t.binder.id, u.binder.id
+            todo += ((_RESTORE, (a, lt.get(a), b, lu.get(b))), (t.body, u.body))
+            lt[a] = lu[b] = depth
+            depth += 1
+        else:
+            raise TypeError("not a term")
     return True
 
 
@@ -264,7 +252,6 @@ def instance_term() -> NominalInstance[Term]:
 def to_debruijn(t: Term) -> DbTerm:
     """Nameless conversion: bound occurrences become binder-depth indices,
     free occurrences stay named."""
-    _check_term(t)
     level: dict[int, int | None] = {}
     saved: list[int | None] = []
 
@@ -295,7 +282,7 @@ def subst(t: Term, a: Name, u: Term) -> Term:
     target = a.id
     try:
         top = max(target, t._top, u._top) + 1
-    except (AttributeError, TypeError):
+    except AttributeError:
         raise TypeError("not a term") from None
     renamed: dict[int, Name | None] = {}
     saved: list[Name | None] = []
@@ -408,18 +395,23 @@ def _reduce(t: Term, fuel: int):
             steps += 1
             if type(focus) is Lam and ctx and type(ctx[-1]) is App:
                 focus = App(focus, ctx.pop().arg)
-        else:  # a leaf: climb to the nearest frame with an unsearched argument
+        elif kind is Var:  # climb to the nearest frame with an unsearched argument
             while ctx and type(ctx[-1]) is not App:
                 focus = _plug(ctx.pop(), focus)
             if not ctx:
                 return None, focus, steps
             ctx[-1] = (ctx[-1], focus)
             focus = ctx[-1][0].arg
+        else:
+            raise TypeError("not a term")
 
 
 def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
     """Contract leftmost-outermost redexes, at most ``fuel`` of them, on
-    the zipper of :func:`_reduce`; the context is plugged back once."""
+    the zipper of :func:`_reduce`; the context is plugged back once.
+    ``fuel`` must be a nonnegative integer: the loop stops only when the
+    step count equals it."""
+    fuel = operator.index(fuel)
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
     ctx, focus, steps = _reduce(t, fuel)

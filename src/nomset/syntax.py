@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .atoms import Name
-from .lam import App, Lam, Term, Var, _check_term, _fold
+from .lam import App, Lam, Term, Var, _fold
 from .perms import Perm
 
 
@@ -242,7 +242,6 @@ _SPACE, _OPEN, _CLOSE, _ARG_OPEN, _END = map(_Text, (" ", "(", ")", " (", ""))
 
 def print_term(t: Term, table: NameTable | None = None) -> str:
     """Render with minimal parentheses and canonically renamed binders."""
-    _check_term(t)
     if table is None:
         table = NameTable()
     # Free names of each abstraction by identity (hashing a node would walk

@@ -107,23 +107,28 @@ INNERMOST = {n: max(i for i in range(DEEP) if DEEP_SHADOWED[i] == n) for n in PO
     ],
 )
 def test_term_functions_reject_non_terms(fn):
-    for bad in ("x", App(Var(x), 5), Lam(x, (x, y))):
+    for bad in (lambda: "x", lambda: App(Var(x), 5), lambda: Lam(x, (x, y))):
         with pytest.raises(TypeError, match="not a term"):
-            fn(bad)
+            fn(bad())
 
 
 @pytest.mark.parametrize(
-    "bad", [App(Var(y), 5), Lam(y, (x, y)), "x", App(App(Var(y), 5), Var(Name(9)))]
+    "bad",
+    [
+        lambda: App(Var(y), 5),
+        lambda: Lam(y, (x, y)),
+        lambda: "x",
+        lambda: App(App(Var(y), 5), Var(Name(9))),
+    ],
+    ids=["bad0", "bad1", "x", "bad3"],
 )
 def test_subst_rejects_a_non_term_replacement(bad):
     with pytest.raises(TypeError, match="not a term"):
-        subst(Var(x), x, bad)
+        subst(Var(x), x, bad())
 
 
-# A name that is not a Name leaves the root's ``_top`` None, which each of
-# these checks at entry instead of failing on ``.id`` inside the walk;
-# ``alpha_eq`` checks it when both sides are one term, and otherwise
-# rejects the bad node when its walk reaches it.
+# A name that is not a Name is rejected by the node that would hold it, so
+# each bad term is built inside ``pytest.raises`` and no function is reached.
 @pytest.mark.parametrize(
     "fn",
     [
@@ -136,16 +141,63 @@ def test_subst_rejects_a_non_term_replacement(bad):
         lambda t: alpha_eq(t, copy.copy(t)),
     ],
 )
-@pytest.mark.parametrize("bad", [Var(5), Lam(x, Var(5)), App(Var(x), Var(5))])
+@pytest.mark.parametrize(
+    "bad",
+    [lambda: Var(5), lambda: Lam(x, Var(5)), lambda: App(Var(x), Var(5))],
+    ids=["bad0", "bad1", "bad2"],
+)
 def test_a_var_whose_name_is_not_a_name_is_not_a_term(fn, bad):
     with pytest.raises(TypeError, match="not a term"):
-        fn(bad)
+        fn(bad())
 
 
-@pytest.mark.parametrize("t,u", [(Var(5), Var(x)), (Var(x), Var(5))])
+@pytest.mark.parametrize(
+    "t,u",
+    [(lambda: Var(5), lambda: Var(x)), (lambda: Var(x), lambda: Var(5))],
+    ids=["t0-u0", "t1-u1"],
+)
 def test_alpha_eq_rejects_a_var_whose_name_is_not_a_name(t, u):
     with pytest.raises(TypeError, match="not a term"):
-        alpha_eq(t, u)
+        alpha_eq(t(), u())
+
+
+# Every public function that takes a term, each given a root that is not a
+# node; ``subst`` and ``alpha_eq`` get it in each of their term positions.
+TERM_FUNCTIONS = {
+    "fv": fv,
+    "term_size": term_size,
+    "to_debruijn": to_debruijn,
+    "term_act": lambda t: term_act(swap_perm(x, y), t),
+    "subst_body": lambda t: subst(t, x, Var(y)),
+    "subst_replacement": lambda t: subst(Var(x), x, t),
+    "alpha_eq": lambda t: alpha_eq(t, t),
+    "normalize": normalize,
+    "beta_step": beta_step,
+    "alpha_rec": lambda t: alpha_rec(instance_nameset(), *fv_combinators()).fn(t),
+    "print_term": print_term,
+    "fresh_dec": lambda t: fresh_dec(iterm, x, t),
+}
+
+
+@pytest.mark.parametrize("fn", TERM_FUNCTIONS.values(), ids=TERM_FUNCTIONS.keys())
+@pytest.mark.parametrize("root", ["x", 5, (x, y)], ids=["str", "int", "tuple"])
+def test_every_term_function_rejects_a_raw_root(fn, root):
+    with pytest.raises(TypeError, match="not a term"):
+        fn(root)
+
+
+@pytest.mark.parametrize("fuel", [2.5, float("nan"), "3", None])
+def test_normalize_rejects_a_fuel_that_is_not_an_integer(fuel):
+    # At a non-integer fuel the step count would never equal it, so a
+    # term without a normal form would be reduced for ever.
+    with pytest.raises(TypeError):
+        normalize(Var(x), fuel)
+
+
+def test_normalize_takes_int_and_bool_fuel():
+    redex = App(Lam(x, Var(x)), Var(y))
+    assert normalize(redex, True) == nomset.lam.NormalizeResult(Var(y), 1, True)
+    assert normalize(redex, False) == nomset.lam.NormalizeResult(redex, 0, False)
 
 
 def test_term_act_identity():
@@ -429,10 +481,37 @@ def test_cached_top_stays_out_of_eq_hash_repr_and_patterns():
     assert dataclasses.replace(t, binder=Name(50))._top == 50
 
 
-def test_cached_top_of_a_non_term_child_spreads_to_every_ancestor():
-    bad = App(Var(x), 5)
-    for t in (bad, Lam(x, bad), App(bad, Var(Name(9))), App(Var(Name(9)), Lam(y, bad))):
-        assert t._top is None
+# Each shape has a child that is not a name (no ``id``, or an ``id`` that
+# is not an int) or not a node, at the top or under another node.
+UNBUILDABLE = [
+    lambda: Var(5),
+    lambda: Var("x"),
+    lambda: Var(Name("a")),
+    lambda: Var(Name(2.5)),
+    lambda: Var(Var(x)),
+    lambda: App(Var(x), 5),
+    lambda: App("x", Var(x)),
+    lambda: App(Var(x), (x, y)),
+    lambda: App(Var(x), x),
+    lambda: App(DbVar(0), Var(x)),
+    lambda: App(Var(Name("a")), Var(x)),
+    lambda: App(App(Var(x), 5), Var(Name(9))),
+    lambda: App(Var(Name(9)), Lam(y, App(Var(x), 5))),
+    lambda: Lam(5, Var(x)),
+    lambda: Lam(Name("a"), Var(x)),
+    lambda: Lam(Name(2.5), Var(x)),
+    lambda: Lam(Var(x), Var(x)),
+    lambda: Lam(x, Var(5)),
+    lambda: Lam(x, (x, y)),
+    lambda: Lam(x, " ("),
+    lambda: Lam(x, App(Var(x), 5)),
+]
+
+
+@pytest.mark.parametrize("build", UNBUILDABLE)
+def test_a_node_with_a_non_term_child_cannot_be_built(build):
+    with pytest.raises(TypeError, match="not a term"):
+        build()
 
 
 CLONES = [copy.copy, copy.deepcopy] + [

@@ -212,14 +212,23 @@ def test_parse_error_position_after_line_breaks(src, line, col):
     assert (err.value.line, err.value.col) == (line, col)
 
 
-# Strings and tuples are what the printer keeps on its own stack.
+# Strings and tuples are what the printer keeps on its own stack.  A node
+# rejects such a child when it is built, so each is built inside the check.
 @pytest.mark.parametrize(
     "bad",
-    ["x", App(Var(x), "junk"), App(Var(x), (x, "y")), Lam(x, " ("), App(Var(x), 5)],
+    [
+        lambda: "x",
+        lambda: App(Var(x), "junk"),
+        lambda: App(Var(x), (x, "y")),
+        lambda: Lam(x, " ("),
+        lambda: App(Var(x), 5),
+        lambda: " (",
+    ],
+    ids=["x", "bad1", "bad2", "bad3", "bad4", "text"],
 )
 def test_print_rejects_non_terms(bad):
     with pytest.raises(TypeError, match="not a term"):
-        print_term(bad, fresh_table())
+        print_term(bad(), fresh_table())
 
 
 def test_print_names_sorted_by_label():
