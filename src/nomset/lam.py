@@ -15,21 +15,30 @@ root is therefore well formed, and a function given a root that is not a
 node at all raises the same error from its dispatch.
 
 Each node caches ``_top``, the largest name index it contains, binders
-included, filled in O(1) from its children when it is built.
-:func:`subst` reads its fresh-name mark from the cached values of its two
-terms, so the term it inserts is never walked.  :func:`term_act` runs its
-swap word once, into the image of the moved names, and then looks each
-name up, so it costs O(|p| + n) on a term of n nodes.
+included, filled in O(1) from its children when it is built.  The node
+constructors, like ``Name``'s, store through the slot descriptors rather
+than ``object.__setattr__``, since building nodes is most of the cost of
+:func:`subst` and so of :func:`normalize`.  :func:`subst` reads its
+fresh-name mark from the cached values of its two terms, so the term it
+inserts is never walked.  It builds one ``Name``, ``Var`` and ``Lam`` per
+abstraction of the term it walks, one ``App`` per application and nothing
+per variable: all occurrences of a renamed binder share its new ``Var``.
+:func:`term_act` runs its swap word once, into the image of the moved
+names, and then looks each name up, so it costs O(|p| + n) on a term of
+n nodes.
 
 Every traversal runs on an explicit stack, so depth is bounded by memory,
 not the recursion limit.  :func:`fv`, :func:`term_act`, :func:`term_size`,
 :func:`to_debruijn`, :func:`subst` and :func:`alpha_rec` are clause sets
 for one post-order walker, :func:`_fold`; :func:`to_debruijn` and
-:func:`subst` map each in-scope binder to its depth or its new name, set on
+:func:`subst` map each in-scope binder to its depth or its new ``Var``, set on
 entering an abstraction and restored on leaving it.  Three loops do not fit
 a fold: :func:`alpha_eq` walks both terms in lockstep, :func:`_reduce`
 moves the zipper of :func:`normalize` and :func:`beta_step`, which resumes
-each redex search where the last contraction was made, and ``print_term``
+each redex search where the last contraction was made, contracts a
+contractum that lands in its parent's function slot against the parent's
+argument without building that application, and keeps only siblings in
+the frames a contraction has rewritten beneath, and ``print_term``
 in :mod:`nomset.syntax` renders from a stack of nodes and literal strings.
 ``parse_term`` there builds terms on an explicit stack too, of open
 binders and parentheses.
@@ -62,9 +71,6 @@ from .suppfn import SuppFn, fcb_lift
 Y = TypeVar("Y")
 
 
-_set = object.__setattr__
-
-
 @dataclass(frozen=True, slots=True)
 class Var:
     name: Name
@@ -74,8 +80,8 @@ class Var:
         top = getattr(name, "id", None)
         if type(top) is not int:
             raise TypeError("not a term")
-        _set(self, "name", name)
-        _set(self, "_top", top)
+        _var_name(self, name)
+        _var_top(self, top)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,9 +95,9 @@ class App:
             top, other = fn._top, arg._top
         except AttributeError:
             raise TypeError("not a term") from None
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
-        _set(self, "_top", other if other > top else top)
+        _app_fn(self, fn)
+        _app_arg(self, arg)
+        _app_top(self, other if other > top else top)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,10 +113,16 @@ class Lam:
             raise TypeError("not a term") from None
         if type(top) is not int:
             raise TypeError("not a term")
-        _set(self, "binder", binder)
-        _set(self, "body", body)
-        _set(self, "_top", other if other > top else top)
+        _lam_binder(self, binder)
+        _lam_body(self, body)
+        _lam_top(self, other if other > top else top)
 
+
+# The constructors store through the slot descriptors, which a frozen
+# dataclass's __setattr__ does not guard; object.__setattr__ costs more.
+_var_name, _var_top = (Var.__dict__[f].__set__ for f in ("name", "_top"))
+_app_fn, _app_arg, _app_top = (App.__dict__[f].__set__ for f in ("fn", "arg", "_top"))
+_lam_binder, _lam_body, _lam_top = (Lam.__dict__[f].__set__ for f in ("binder", "body", "_top"))
 
 Term = Union[Var, App, Lam]
 
@@ -145,9 +157,10 @@ _APP_DONE, _LAM_DONE, _RESTORE = object(), object(), object()
 
 def _fold(t: Term, var, app, lam, enter=None):
     """Post-order fold of ``t`` on an explicit stack: ``var(node)``,
-    ``app(node, fn_result, arg_result)`` and ``lam(node, body_result)``
-    give each node's result, left to right as in structural recursion, and
-    ``enter(node)``, if given, runs before an abstraction's body."""
+    ``app(fn_result, arg_result)`` and ``lam(node, body_result)`` give
+    each node's result, left to right as in structural recursion, and
+    ``enter(node)``, if given, runs before an abstraction's body.  No
+    clause reads an application's node, so it is not kept on the stack."""
     todo, done = [t], []
     while todo:
         node = todo.pop()
@@ -155,14 +168,14 @@ def _fold(t: Term, var, app, lam, enter=None):
         if kind is Var:
             done.append(var(node))
         elif kind is App:
-            todo += (node, _APP_DONE, node.arg, node.fn)
+            todo += (_APP_DONE, node.arg, node.fn)
         elif kind is Lam:
             if enter is not None:
                 enter(node)
             todo += (node, _LAM_DONE, node.body)
         elif node is _APP_DONE:
             x = done.pop()
-            done[-1] = app(todo.pop(), done[-1], x)
+            done[-1] = app(done[-1], x)
         elif node is _LAM_DONE:
             done[-1] = lam(todo.pop(), done[-1])
         else:
@@ -173,9 +186,11 @@ def _fold(t: Term, var, app, lam, enter=None):
 def term_act(p: Perm, t: Term) -> Term:
     """Apply a permutation to every name in the term, binders included.
     The word is run once, into its image; each name is then one lookup."""
-    get = _image(p).get
-    return _fold(t, lambda node: Var(get(node.name.id, node.name)),
-                 lambda node, f, x: App(f, x),
+    try:
+        get = _image(p).get
+    except AttributeError:
+        raise TypeError("term_act: p must be a word of swaps of names") from None
+    return _fold(t, lambda node: Var(get(node.name.id, node.name)), App,
                  lambda node, s: Lam(get(node.binder.id, node.binder), s))
 
 
@@ -195,7 +210,7 @@ def fv(t: Term) -> NameSet:
     def lam(node: Lam, body: None) -> None:
         bound[node.binder.id] -= 1
 
-    _fold(t, var, lambda node, f, x: None, lam, enter)
+    _fold(t, var, lambda f, x: None, lam, enter)
     return frozenset(out)
 
 
@@ -267,7 +282,7 @@ def to_debruijn(t: Term) -> DbTerm:
         level[node.binder.id] = saved.pop()
         return DbLam(body)
 
-    return _fold(t, var, lambda node, f, x: DbApp(f, x), lam, enter)
+    return _fold(t, var, DbApp, lam, enter)
 
 
 def subst(t: Term, a: Name, u: Term) -> Term:
@@ -277,32 +292,35 @@ def subst(t: Term, a: Name, u: Term) -> Term:
     ``a``, is read from the nodes' cached ``_top``, so ``u`` is never
     walked; one renaming walk of ``t`` then gives each binder the name at
     the mark plus its depth.  The new binders occur nowhere in ``u``, so
-    inserting ``u`` under them captures nothing.
+    inserting ``u`` under them captures nothing.  The scope map holds each
+    renamed binder's new ``Var``, which all its occurrences share.
     """
-    target = a.id
+    target = getattr(a, "id", None)
+    if type(target) is not int:
+        raise TypeError("subst: a must be a name")
     try:
         top = max(target, t._top, u._top) + 1
     except AttributeError:
         raise TypeError("not a term") from None
-    renamed: dict[int, Name | None] = {}
-    saved: list[Name | None] = []
+    renamed: dict[int, Var | None] = {}
+    saved: list[Var | None] = []
 
     def enter(node: Lam) -> None:
         saved.append(renamed.get(node.binder.id))
-        renamed[node.binder.id] = Name(top + len(saved) - 1)
+        renamed[node.binder.id] = Var(Name(top + len(saved) - 1))
 
     def var(node: Var) -> Term:
         new = renamed.get(node.name.id)
         if new is not None:
-            return Var(new)
+            return new
         return u if node.name.id == target else node
 
     def lam(node: Lam, body: Term) -> Term:
         new = renamed[node.binder.id]
         renamed[node.binder.id] = saved.pop()
-        return Lam(new, body)
+        return Lam(new.name, body)
 
-    return _fold(t, var, lambda node, f, x: App(f, x), lam, enter)
+    return _fold(t, var, App, lam, enter)
 
 
 def alpha_rec(
@@ -323,7 +341,7 @@ def alpha_rec(
 
     def rec(t: Term) -> Y:
         return _fold(t, lambda node: fvar.fn(node.name),
-                     lambda node, f, x: fapp.fn((f, x)),
+                     lambda f, x: fapp.fn((f, x)),
                      lambda node, s: flam_bar.fn(Abstraction(node.binder, s)))
 
     return SuppFn(
@@ -362,8 +380,14 @@ def _plug(frame, focus: Term) -> Term:
         return frame if focus is frame.body else Lam(frame.binder, focus)
     if kind is App:
         return frame if focus is frame.fn else App(focus, frame.arg)
-    node, fn = frame
-    return node if focus is node.arg and fn is node.fn else App(fn, focus)
+    if kind is Name:
+        return Lam(frame, focus)
+    fn, other = frame
+    if fn is None:
+        return App(focus, other)
+    if other is None:
+        return App(fn, focus)
+    return other if focus is other.arg else App(fn, focus)
 
 
 def _reduce(t: Term, fuel: int):
@@ -371,15 +395,29 @@ def _reduce(t: Term, fuel: int):
     them, and return ``(ctx, focus, steps)``.
 
     A zipper walk that never restarts from the root.  ``ctx`` holds the
-    frames above ``focus``: ``Lam`` (focus in the body), ``App`` (in the
-    function, argument unsearched) or ``(app, fn)`` (in the argument,
-    ``fn`` normal).  All left of the focus is normal, so each search
-    resumes at the contractum; only the parent can become a redex, when
-    an abstraction lands in its function slot.  At normal form ``ctx`` is
-    ``None`` and ``focus`` the whole plugged term; when fuel runs out,
-    ``focus`` is the next redex and ``ctx`` its unplugged context.
+    frames above ``focus``, each one of
+
+    - ``Lam``: focus in its body;
+    - ``App``: focus in its function, argument unsearched;
+    - ``(fn, app)``: focus in ``app``'s argument, ``fn`` (``app.fn``) normal;
+    - a ``Name`` ``b``: focus in the body of a new abstraction binding ``b``;
+    - ``(None, arg)``: focus in a new function, ``arg`` unsearched;
+    - ``(fn, None)``: focus in a new argument, ``fn`` normal.
+
+    The first three give back their original node when plugged.  A
+    contraction below such a frame means it never will, so on each
+    contraction every frame above the watermark ``pruned`` is replaced
+    once by the matching one of the last three, which keeps only the
+    sibling and lets the rewritten subterms go.
+
+    All left of the focus is normal, so each search resumes at the
+    contractum; only the parent can become a redex, when an abstraction
+    lands in its function slot, and it is contracted at once.  At normal
+    form ``ctx`` is ``None`` and ``focus`` the whole plugged term; when
+    fuel runs out, ``focus`` is the next redex and ``ctx`` its unplugged
+    context.
     """
-    steps, ctx, focus = 0, [], t
+    steps, ctx, focus, pruned = 0, [], t, 0
     while True:
         kind = type(focus)
         if kind is Lam:
@@ -391,17 +429,36 @@ def _reduce(t: Term, fuel: int):
         elif kind is App:  # a redex
             if steps == fuel:
                 return ctx, focus, steps
+            for i in range(pruned, len(ctx)):
+                frame = ctx[i]
+                ctx[i] = (frame.binder if type(frame) is Lam else
+                          (None, frame.arg) if type(frame) is App else (frame[0], None))
             focus = subst(focus.fn.body, focus.fn.binder, focus.arg)
             steps += 1
-            if type(focus) is Lam and ctx and type(ctx[-1]) is App:
-                focus = App(focus, ctx.pop().arg)
+            while (type(focus) is Lam and ctx and type(ctx[-1]) is tuple
+                   and ctx[-1][0] is None):
+                arg = ctx.pop()[1]
+                if steps == fuel:
+                    return ctx, App(focus, arg), steps
+                focus = subst(focus.body, focus.binder, arg)
+                steps += 1
+            pruned = len(ctx)
         elif kind is Var:  # climb to the nearest frame with an unsearched argument
-            while ctx and type(ctx[-1]) is not App:
+            while ctx:
+                frame = ctx[-1]
+                if type(frame) is App:
+                    ctx[-1] = (focus, frame)
+                    focus = frame.arg
+                    break
+                if type(frame) is tuple and frame[0] is None:
+                    ctx[-1] = (focus, None)
+                    focus = frame[1]
+                    break
                 focus = _plug(ctx.pop(), focus)
-            if not ctx:
+            else:
                 return None, focus, steps
-            ctx[-1] = (ctx[-1], focus)
-            focus = ctx[-1][0].arg
+            if pruned > len(ctx):
+                pruned = len(ctx)
         else:
             raise TypeError("not a term")
 
@@ -428,7 +485,7 @@ def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
 
 def term_size(t: Term) -> int:
     """Constructor count."""
-    return _fold(t, lambda node: 1, lambda node, f, x: 1 + f + x, lambda node, s: 1 + s)
+    return _fold(t, lambda node: 1, lambda f, x: 1 + f + x, lambda node, s: 1 + s)
 
 
 @lru_cache(maxsize=64)

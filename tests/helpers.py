@@ -8,7 +8,7 @@ import random
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec
-from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, _fold, fv, subst, term_act
+from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, fv, subst, term_act
 from nomset.nominal import NominalInstance, instance_name, instance_nameset, instance_pair
 from nomset.perms import perm_domain, swap_apply, swap_perm
 from nomset.suppfn import SuppFn
@@ -97,28 +97,42 @@ def max_name_id(t: Term) -> int:
 
 def reference_subst(t: Term, a: Name, u: Term) -> Term:
     """``subst`` with its high-water mark found by walking ``t`` and
-    ``u``; ``subst`` must give the same term, renamed binders included."""
+    ``u``, on a loop of its own; ``subst`` must give the same term,
+    renamed binders included: a binder under ``d`` others becomes
+    ``Name(top + d)``."""
     target = a.id
     top = max(target, max_name_id(t), max_name_id(u)) + 1
-    renamed: dict[int, Name | None] = {}
-    saved: list[Name | None] = []
-
-    def enter(node: Lam) -> None:
-        saved.append(renamed.get(node.binder.id))
-        renamed[node.binder.id] = Name(top + len(saved) - 1)
-
-    def var(node: Var) -> Term:
-        new = renamed.get(node.name.id)
-        if new is not None:
-            return Var(new)
-        return u if node.name.id == target else node
-
-    def lam(node: Lam, body: Term) -> Term:
-        new = renamed[node.binder.id]
-        renamed[node.binder.id] = saved.pop()
-        return Lam(new, body)
-
-    return _fold(t, var, lambda node, f, x: App(f, x), lam, enter)
+    renamed: dict[int, Name] = {}
+    depth = 0
+    out: list[Term] = []
+    todo: list[tuple] = [("visit", t)]
+    while todo:
+        op, *args = todo.pop()
+        if op == "app":
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif op == "lam":
+            i, new, shadowed = args
+            depth -= 1
+            if shadowed is None:
+                del renamed[i]
+            else:
+                renamed[i] = shadowed
+            out[-1] = Lam(new, out[-1])
+        else:
+            (node,) = args
+            if type(node) is Var:
+                i = node.name.id
+                out.append(Var(renamed[i]) if i in renamed else u if i == target else node)
+            elif type(node) is App:
+                todo += [("app",), ("visit", node.arg), ("visit", node.fn)]
+            else:
+                i = node.binder.id
+                new = Name(top + depth)
+                todo += [("lam", i, new, renamed.get(i)), ("visit", node.body)]
+                renamed[i] = new
+                depth += 1
+    return out[0]
 
 
 def reference_perm_apply(p, a):
@@ -136,10 +150,24 @@ def reference_perm_equiv(p, q) -> bool:
 
 
 def reference_term_act(p, t: Term) -> Term:
-    """``term_act`` running the whole word at every name."""
-    return _fold(t, lambda node: Var(reference_perm_apply(p, node.name)),
-                 lambda node, f, x: App(f, x),
-                 lambda node, s: Lam(reference_perm_apply(p, node.binder), s))
+    """``term_act`` running the whole word at every name, on a loop of
+    its own."""
+    out: list[Term] = []
+    todo: list[tuple] = [("visit", t)]
+    while todo:
+        op, node = todo.pop()
+        if op == "app":
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif op == "lam":
+            out[-1] = Lam(reference_perm_apply(p, node.binder), out[-1])
+        elif type(node) is Var:
+            out.append(Var(reference_perm_apply(p, node.name)))
+        elif type(node) is App:
+            todo += [("app", node), ("visit", node.arg), ("visit", node.fn)]
+        else:
+            todo += [("lam", node), ("visit", node.body)]
+    return out[0]
 
 
 def fv_combinators():

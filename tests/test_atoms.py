@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -61,3 +66,35 @@ def test_fresh_many_matches_repeated_fresh_for(avoid, k):
         expected.append(n)
         taken.add(n)
     assert fresh_many(avoid, k) == tuple(expected)
+
+
+def test_name_keeps_its_dataclass_behaviour():
+    a = Name(3)
+    assert a == Name(3) and a != Name(4) and a != 3
+    assert hash(a) == hash(Name(3)) == hash((3,))
+    assert Name(2) < a <= Name(3) < Name(10)
+    assert sorted([Name(5), Name(1), Name(3)]) == [Name(1), Name(3), Name(5)]
+    assert repr(a) == "Name(3)"
+    assert Name.__match_args__ == ("id",)
+    assert Name(id=7) == Name(7)
+    match a:
+        case Name(i):
+            assert i == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.id = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del a.id
+    assert a.id == 3
+    b = dataclasses.replace(a, id=9)
+    assert type(b) is Name and b.id == 9 and a.id == 3
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy]
+    + [lambda a, p=p: pickle.loads(pickle.dumps(a, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_name_copies_and_pickles(clone):
+    for a in (Name(0), Name(12345)):
+        c = clone(a)
+        assert type(c) is Name and c == a and c.id == a.id and hash(c) == hash(a)

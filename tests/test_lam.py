@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -198,6 +200,18 @@ def test_normalize_takes_int_and_bool_fuel():
     redex = App(Lam(x, Var(x)), Var(y))
     assert normalize(redex, True) == nomset.lam.NormalizeResult(Var(y), 1, True)
     assert normalize(redex, False) == nomset.lam.NormalizeResult(redex, 0, False)
+
+
+@pytest.mark.parametrize("a", [5, "x", None, Name("a"), Name(2.5)])
+def test_subst_rejects_a_name_that_is_not_a_name(a):
+    with pytest.raises(TypeError, match="subst: a must be a name"):
+        subst(Var(x), a, Var(y))
+
+
+@pytest.mark.parametrize("p", [((x, 5),), ((5, x),), ((y, x), (x, "z"))])
+def test_term_act_rejects_a_word_holding_a_non_name(p):
+    with pytest.raises(TypeError, match="term_act: p must be a word of swaps of names"):
+        term_act(p, Var(x))
 
 
 def test_term_act_identity():
@@ -459,6 +473,84 @@ def test_subst_matches_reference_subst_on_church_redexes(monkeypatch):
         assert result.normal_form and result.term._top == max_name_id(result.term)
     # c_k c_2 takes 2^(k+1) - 2 steps.
     assert len(seen) == sum(2 ** (k + 1) - 2 for k in range(1, 7))
+
+
+def count_constructions(monkeypatch) -> Counter:
+    """Count every ``Name``, ``Var``, ``App`` and ``Lam`` built from here
+    on, by class, through a counting wrapper around each ``__init__``."""
+    counts: Counter = Counter()
+    for cls in (Name, Var, App, Lam):
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            counts[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def subst_cases(monkeypatch):
+    """Church redexes, as ``normalize`` contracts them, and random terms of
+    at most eight constructors under each replacement."""
+    cases = []
+
+    def record(t, a, u):
+        cases.append((t, a, u))
+        return subst(t, a, u)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nomset.lam, "subst", record)
+        for k in range(1, 5):
+            normalize(App(church(k), church(2)))
+    rng = random.Random(8)
+    gen = term_gen(max_size=8)
+    for _ in range(200):
+        cases += [(gen(rng), rng.choice(POOL3), u) for u in REPLACEMENTS]
+    return cases
+
+
+def test_subst_builds_per_node_of_t_and_nothing_per_variable(monkeypatch):
+    cases = [(t, a, u, term_tokens(t)) for t, a, u in subst_cases(monkeypatch)]
+    counts = count_constructions(monkeypatch)
+    for t, a, u, tokens in cases:
+        lams = sum(type(tok) is tuple for tok in tokens)
+        counts.clear()
+        subst(t, a, u)
+        assert counts == Counter({Name: lams, Var: lams, Lam: lams, App: tokens.count("@")}), t
+
+
+def test_normalize_builds_no_redex_outside_subst_unless_fuel_stops_there(monkeypatch):
+    # A contractum landing in its parent's function slot is contracted
+    # against the parent's argument at once; only a cut-off at that very
+    # point builds the application, so that it can be returned.
+    t = App(church(4), church(2))
+    steps = normalize(t).steps
+    inside, built = [False], []
+    real_subst, real_init = nomset.lam.subst, App.__init__
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return real_subst(*args)
+        finally:
+            inside[0] = False
+
+    def counted(self, fn, arg):
+        if type(fn) is Lam and not inside[0]:
+            built.append(fn)
+        real_init(self, fn, arg)
+
+    monkeypatch.setattr(nomset.lam, "subst", flagged)
+    monkeypatch.setattr(App, "__init__", counted)
+    cut_at_a_landing = 0
+    for fuel in range(steps):
+        built.clear()
+        assert not normalize(t, fuel).normal_form
+        assert len(built) <= 1, fuel
+        cut_at_a_landing += len(built)
+    assert cut_at_a_landing > 0
+    built.clear()
+    got = normalize(t, steps)
+    assert built == []
+    assert got.normal_form and got.steps == 30 and alpha_eq(got.term, church(16))
 
 
 def test_cached_top_stays_out_of_eq_hash_repr_and_patterns():
@@ -729,6 +821,33 @@ def test_normalize_cut_off_at_every_fuel_matches_reference(t):
         got = normalize(t, fuel)
         assert (got.steps, got.normal_form) == (fuel, fuel == len(trace) - 1)
         assert term_tokens(got.term) == tokens
+
+
+def test_normalize_keeps_only_siblings_above_each_contraction(monkeypatch):
+    # A frame above a contraction can never give back its original node,
+    # so by the time subst runs each one holds only a sibling: a binder,
+    # (None, arg) or (fn, None).  A frame still holding its node would
+    # keep the rewritten subterms alive until the final plug.
+    contractions = []
+
+    def checked(t, a, u):
+        caller = sys._getframe(1)
+        assert caller.f_code.co_name == "_reduce"
+        for frame in caller.f_locals["ctx"]:
+            assert type(frame) is Name or (
+                type(frame) is tuple and (frame[0] is None or frame[1] is None)), frame
+        contractions.append(a)
+        return subst(t, a, u)
+
+    monkeypatch.setattr(nomset.lam, "subst", checked)
+    rng = random.Random(5)
+    gen = term_gen(max_size=12)
+    # The climb after the first contraction drops below the frames it
+    # pruned, and the abstraction is entered before the second one.
+    lowered = App(App(Var(x), IDENTITY_REDEX), Lam(y, IDENTITY_REDEX))
+    for t in [lowered, *FUEL_CUT_TERMS, *(gen(rng) for _ in range(2000))]:
+        normalize(t, 50)
+    assert len(contractions) > 500
 
 
 def test_term_size_and_enumeration_counts():
