@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generic, TypeVar
 
-from .atoms import Name, NameSet, fresh_for
+from .atoms import Name, NameSet, _sealed, fresh_for
 from .freshness import WitnessError, fresh_tuple
 from .nominal import NominalInstance, instance_name
 from .perms import Perm, perm_apply, swap_perm
@@ -23,6 +23,7 @@ from .perms import Perm, perm_apply, swap_perm
 X = TypeVar("X")
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class Abstraction(Generic[X]):
     """A name bound in a term; compared by alpha-equivalence."""

@@ -10,9 +10,32 @@ counter, so every operation here is a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 
+def _sealed(cls):
+    """Make every assignment to or deletion of an attribute of ``cls``'s
+    instances raise ``FrozenInstanceError``.
+
+    Applied above ``@dataclass(frozen=True, slots=True)``: the
+    ``__setattr__`` that decorator generates names the class it replaced
+    to add slots, so for an undeclared attribute it fails with a
+    ``TypeError`` from ``super``, and a frozen dataclass's body may not
+    define its own.  Constructors store through the slot descriptors or
+    ``object.__setattr__``, which both bypass the class's own.
+    """
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_sealed
 @dataclass(frozen=True, order=True, slots=True)
 class Name:
     """An atom, identified by a natural-number index.

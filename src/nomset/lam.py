@@ -18,28 +18,31 @@ Each node caches ``_top``, the largest name index it contains, binders
 included, filled in O(1) from its children when it is built.  The node
 constructors, like ``Name``'s, store through the slot descriptors rather
 than ``object.__setattr__``, since building nodes is most of the cost of
-:func:`subst` and so of :func:`normalize`.  :func:`subst` reads its
-fresh-name mark from the cached values of its two terms, so the term it
-inserts is never walked.  It builds one ``Name``, ``Var`` and ``Lam`` per
-abstraction of the term it walks, one ``App`` per application and nothing
-per variable: all occurrences of a renamed binder share its new ``Var``.
+:func:`subst` and so of :func:`normalize`.  :func:`subst` decides from
+the cached values alone which binders to rename and which subterms it
+cannot change, so the term it inserts is never walked and neither is any
+subterm of ``t`` below every name it replaces.  It builds one ``Name``,
+``Var`` and ``Lam`` per renamed binder, only those that could capture
+or that rebind the target, and one ``App`` or ``Lam`` per ancestor of a
+change; everything else, ``u`` included, is shared with its inputs.
 :func:`term_act` runs its swap word once, into the image of the moved
 names, and then looks each name up, so it costs O(|p| + n) on a term of
 n nodes.
 
 Every traversal runs on an explicit stack, so depth is bounded by memory,
 not the recursion limit.  :func:`fv`, :func:`term_act`, :func:`term_size`,
-:func:`to_debruijn`, :func:`subst` and :func:`alpha_rec` are clause sets
-for one post-order walker, :func:`_fold`; :func:`to_debruijn` and
-:func:`subst` map each in-scope binder to its depth or its new ``Var``, set on
-entering an abstraction and restored on leaving it.  Three loops do not fit
-a fold: :func:`alpha_eq` walks both terms in lockstep, :func:`_reduce`
-moves the zipper of :func:`normalize` and :func:`beta_step`, which resumes
-each redex search where the last contraction was made, contracts a
-contractum that lands in its parent's function slot against the parent's
-argument without building that application, and keeps only siblings in
-the frames a contraction has rewritten beneath, and ``print_term``
-in :mod:`nomset.syntax` renders from a stack of nodes and literal strings.
+:func:`to_debruijn` and :func:`alpha_rec` are clause sets for one
+post-order walker, :func:`_fold`; :func:`to_debruijn` maps each in-scope
+binder to its depth, set on entering an abstraction and restored on
+leaving it.  Four loops do not fit a fold: :func:`subst` skips every
+subtree it cannot change, which a post-order fold cannot, :func:`alpha_eq`
+walks both terms in lockstep, :func:`_reduce` moves the zipper of
+:func:`normalize` and :func:`beta_step`, which resumes each redex search
+where the last contraction was made, contracts a contractum that lands in
+its parent's function slot against the parent's argument without
+building that application, and keeps only siblings in the frames a
+contraction has rewritten beneath, and ``print_term`` in
+:mod:`nomset.syntax` renders from a stack of nodes and literal strings.
 ``parse_term`` there builds terms on an explicit stack too, of open
 binders and parentheses.
 
@@ -63,7 +66,7 @@ from functools import lru_cache
 from typing import Iterator, TypeVar, Union
 
 from .abstraction import Abstraction
-from .atoms import Name, NameSet
+from .atoms import Name, NameSet, _sealed
 from .nominal import NominalInstance
 from .perms import Perm, _image
 from .suppfn import SuppFn, fcb_lift
@@ -71,6 +74,7 @@ from .suppfn import SuppFn, fcb_lift
 Y = TypeVar("Y")
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class Var:
     name: Name
@@ -84,6 +88,7 @@ class Var:
         _var_top(self, top)
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class App:
     fn: "Term"
@@ -100,6 +105,7 @@ class App:
         _app_top(self, other if other > top else top)
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class Lam:
     binder: Name
@@ -118,8 +124,8 @@ class Lam:
         _lam_top(self, other if other > top else top)
 
 
-# The constructors store through the slot descriptors, which a frozen
-# dataclass's __setattr__ does not guard; object.__setattr__ costs more.
+# The constructors store through the slot descriptors, which the sealed
+# __setattr__ does not guard; object.__setattr__ costs more.
 _var_name, _var_top = (Var.__dict__[f].__set__ for f in ("name", "_top"))
 _app_fn, _app_arg, _app_top = (App.__dict__[f].__set__ for f in ("fn", "arg", "_top"))
 _lam_binder, _lam_body, _lam_top = (Lam.__dict__[f].__set__ for f in ("binder", "body", "_top"))
@@ -127,22 +133,26 @@ _lam_binder, _lam_body, _lam_top = (Lam.__dict__[f].__set__ for f in ("binder", 
 Term = Union[Var, App, Lam]
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class DbVar:
     index: int
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class DbFree:
     name: Name
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class DbApp:
     fn: "DbTerm"
     arg: "DbTerm"
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class DbLam:
     body: "DbTerm"
@@ -185,11 +195,13 @@ def _fold(t: Term, var, app, lam, enter=None):
 
 def term_act(p: Perm, t: Term) -> Term:
     """Apply a permutation to every name in the term, binders included.
-    The word is run once, into its image; each name is then one lookup."""
-    try:
-        get = _image(p).get
-    except AttributeError:
-        raise TypeError("term_act: p must be a word of swaps of names") from None
+    The word is run once, into its image; each name is then one lookup.
+    Each swap must hold two names, objects with an ``int`` ``id``, whether
+    or not the term meets them."""
+    for a, b in p:
+        if type(getattr(a, "id", None)) is not int or type(getattr(b, "id", None)) is not int:
+            raise TypeError("term_act: p must be a word of swaps of names")
+    get = _image(p).get
     return _fold(t, lambda node: Var(get(node.name.id, node.name)), App,
                  lambda node, s: Lam(get(node.binder.id, node.binder), s))
 
@@ -288,39 +300,76 @@ def to_debruijn(t: Term) -> DbTerm:
 def subst(t: Term, a: Name, u: Term) -> Term:
     """Capture-avoiding substitution of ``u`` for free ``a`` in ``t``.
 
-    The high-water mark, one above every name index in ``t``, ``u`` and
-    ``a``, is read from the nodes' cached ``_top``, so ``u`` is never
-    walked; one renaming walk of ``t`` then gives each binder the name at
-    the mark plus its depth.  The new binders occur nowhere in ``u``, so
-    inserting ``u`` under them captures nothing.  The scope map holds each
-    renamed binder's new ``Var``, which all its occurrences share.
+    Every decision is O(1), read from the cached ``_top`` of ``t`` and
+    ``u``, so ``u`` is never walked.  A binder is renamed only when it
+    could capture a name of ``u`` (its index is at most ``u._top``) or
+    rebinds ``a``; the k-th renamed binder on the path from the root
+    becomes ``Name(mark + k)``, ``mark`` being one above every index in
+    ``t``, ``u`` and ``a``, and all its occurrences share one new ``Var``.
+    Any other binder has an index above every name of ``u`` and differs
+    from ``a`` and from every renamed binder, so it captures and shadows
+    nothing and keeps its name.
+
+    A subterm whose ``_top`` is below ``low``, the least of ``a`` and the
+    renamed binders in scope, holds nothing to replace and is returned as
+    it is, unwalked; an application, or an abstraction that keeps its
+    binder, is rebuilt only when a child came back as another object.  So
+    ``t`` itself comes back when ``a`` is above ``t._top``.
     """
     target = getattr(a, "id", None)
     if type(target) is not int:
         raise TypeError("subst: a must be a name")
     try:
-        top = max(target, t._top, u._top) + 1
+        u_top, t_top = u._top, t._top
     except AttributeError:
         raise TypeError("not a term") from None
+    mark = max(target, t_top, u_top) + 1
     renamed: dict[int, Var | None] = {}
-    saved: list[Var | None] = []
-
-    def enter(node: Lam) -> None:
-        saved.append(renamed.get(node.binder.id))
-        renamed[node.binder.id] = Var(Name(top + len(saved) - 1))
-
-    def var(node: Var) -> Term:
-        new = renamed.get(node.name.id)
-        if new is not None:
-            return new
-        return u if node.name.id == target else node
-
-    def lam(node: Lam, body: Term) -> Term:
-        new = renamed[node.binder.id]
-        renamed[node.binder.id] = saved.pop()
-        return Lam(new.name, body)
-
-    return _fold(t, var, App, lam, enter)
+    saved: list[tuple[int, Var | None, int]] = []  # (binder, shadowed, low)
+    low, todo, done = target, [t], []
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Var:
+            i = node.name.id
+            if i >= low:
+                new = renamed.get(i)
+                node = new if new is not None else u if i == target else node
+            done.append(node)
+        elif kind is App:
+            if node._top < low:
+                done.append(node)
+            else:
+                todo += (node, _APP_DONE, node.arg, node.fn)
+        elif kind is Lam:
+            if node._top < low:
+                done.append(node)
+                continue
+            b = node.binder.id
+            if b <= u_top or b == target:
+                saved.append((b, renamed.get(b), low))
+                renamed[b] = Var(Name(mark + len(saved) - 1))
+                if b < low:
+                    low = b
+                todo += (_RESTORE, node.body)
+            else:
+                todo += (node, _LAM_DONE, node.body)
+        elif node is _APP_DONE:
+            arg, app = done.pop(), todo.pop()
+            if done[-1] is not app.fn or arg is not app.arg:
+                done[-1] = App(done[-1], arg)
+            else:
+                done[-1] = app
+        elif node is _LAM_DONE:
+            lam = todo.pop()
+            done[-1] = lam if done[-1] is lam.body else Lam(lam.binder, done[-1])
+        elif node is _RESTORE:
+            b, shadowed, low = saved.pop()
+            done[-1] = Lam(renamed[b].name, done[-1])
+            renamed[b] = shadowed
+        else:
+            raise TypeError("not a term")
+    return done[0]
 
 
 def alpha_rec(

@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
-from .atoms import Name, NameSet, fresh_many
+from .atoms import Name, NameSet, _sealed, fresh_many
 from .perms import Perm, _nameset_act, perm_apply, perm_compose, swap_perm
 
 X = TypeVar("X")
@@ -94,11 +94,13 @@ def instance_pair(
     )
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class Left(Generic[X]):
     value: X
 
 
+@_sealed
 @dataclass(frozen=True, slots=True)
 class Right(Generic[Y]):
     value: Y

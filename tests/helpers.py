@@ -1,14 +1,15 @@
 """Plain-random helpers for building alpha-equal variants in tests, and
 reference copies of the recursive parser, printer and beta step, of
-substitution before terms cached their largest name index, and of the
-permutation action and equivalence that ran the swap word once per name."""
+substitution with every largest name index found by a walk rather than
+read from the cache, and of the permutation action and equivalence that
+ran the swap word once per name."""
 
 import random
 
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec
-from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, fv, subst, term_act
+from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, fv, term_act
 from nomset.nominal import NominalInstance, instance_name, instance_nameset, instance_pair
 from nomset.perms import perm_domain, swap_apply, swap_perm
 from nomset.suppfn import SuppFn
@@ -96,42 +97,56 @@ def max_name_id(t: Term) -> int:
 
 
 def reference_subst(t: Term, a: Name, u: Term) -> Term:
-    """``subst`` with its high-water mark found by walking ``t`` and
-    ``u``, on a loop of its own; ``subst`` must give the same term,
-    renamed binders included: a binder under ``d`` others becomes
-    ``Name(top + d)``."""
-    target = a.id
-    top = max(target, max_name_id(t), max_name_id(u)) + 1
-    renamed: dict[int, Name] = {}
-    depth = 0
+    """``subst`` with every largest name index found by walking
+    (``max_name_id``), on a loop of its own; ``subst`` must give the same
+    term, renamed binders included, and share the same subterms.
+
+    A binder whose index is at most ``u``'s largest, or is ``a``'s, is
+    renamed: under ``d`` renamed others it becomes ``Name(top + d)``, all
+    its occurrences one new ``Var``.  A subterm whose names all lie below
+    ``a`` and every renamed binder around it is kept as it is, and a node
+    whose children all came back as they were is kept too."""
+    target, bound = a.id, max_name_id(u)
+    top = max(target, max_name_id(t), bound) + 1
+    renamed: dict[int, Var] = {}
     out: list[Term] = []
-    todo: list[tuple] = [("visit", t)]
+    # A visit carries the least index that can change below it, and the
+    # number of renamed binders around it.
+    todo: list[tuple] = [("visit", t, target, 0)]
     while todo:
-        op, *args = todo.pop()
+        op, node, *args = todo.pop()
         if op == "app":
             arg = out.pop()
-            out[-1] = App(out[-1], arg)
+            fn = out.pop()
+            out.append(node if fn is node.fn and arg is node.arg else App(fn, arg))
         elif op == "lam":
-            i, new, shadowed = args
-            depth -= 1
+            body = out.pop()
+            out.append(node if body is node.body else Lam(node.binder, body))
+        elif op == "renamed":
+            b, shadowed = args
+            body = out.pop()
+            out.append(Lam(renamed[b].name, body))
             if shadowed is None:
-                del renamed[i]
+                del renamed[b]
             else:
-                renamed[i] = shadowed
-            out[-1] = Lam(new, out[-1])
+                renamed[b] = shadowed
         else:
-            (node,) = args
-            if type(node) is Var:
+            low, depth = args
+            if max_name_id(node) < low:
+                out.append(node)
+            elif type(node) is Var:
                 i = node.name.id
-                out.append(Var(renamed[i]) if i in renamed else u if i == target else node)
+                out.append(renamed[i] if i in renamed else u if i == target else node)
             elif type(node) is App:
-                todo += [("app",), ("visit", node.arg), ("visit", node.fn)]
+                todo += [("app", node), ("visit", node.arg, low, depth),
+                         ("visit", node.fn, low, depth)]
+            elif node.binder.id <= bound or node.binder.id == target:
+                b = node.binder.id
+                todo += [("renamed", node, b, renamed.get(b)),
+                         ("visit", node.body, min(low, b), depth + 1)]
+                renamed[b] = Var(Name(top + depth))
             else:
-                i = node.binder.id
-                new = Name(top + depth)
-                todo += [("lam", i, new, renamed.get(i)), ("visit", node.body)]
-                renamed[i] = new
-                depth += 1
+                todo += [("lam", node), ("visit", node.body, low, depth)]
     return out[0]
 
 
@@ -250,11 +265,12 @@ def reference_print_term(t: Term, table: NameTable | None = None) -> str:
 
 
 def reference_beta_step(t: Term) -> Term | None:
-    """The recursive leftmost-outermost step; ``normalize`` must take the
-    same steps to the same terms."""
+    """The recursive leftmost-outermost step, contracting with
+    :func:`reference_subst`; ``normalize`` must take the same steps to the
+    same terms."""
     match t:
         case App(Lam(b, s), u):
-            return subst(s, b, u)
+            return reference_subst(s, b, u)
         case App(f, x):
             step = reference_beta_step(f)
             if step is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -76,6 +77,16 @@ def test_probe_agrees_on_many_fresh_witnesses():
         assert alpha_universal_probe(
             iname, left, right, witnesses
         ) == alpha_equiv_dec(iname, left, right)
+
+
+def test_abstraction_refuses_every_assignment_and_deletion():
+    ab = Abstraction(a, b)
+    for attr in ("name", "term", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ab, attr, z)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ab, attr)
+    assert ab == Abstraction(a, b)
 
 
 def test_abs_act_identity():

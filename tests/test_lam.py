@@ -214,6 +214,15 @@ def test_term_act_rejects_a_word_holding_a_non_name(p):
         term_act(p, Var(x))
 
 
+@pytest.mark.parametrize("bad", [Name("a"), Name(2.5), Name(None), Name(True), object()],
+                         ids=["str", "float", "none", "bool", "object"])
+@pytest.mark.parametrize("t", [Var(x), Var(y), Lam(z, Var(z))], ids=["meets", "misses", "closed"])
+def test_term_act_rejects_a_non_name_in_any_swap_whatever_the_term(bad, t):
+    for p in (((x, bad),), ((bad, x),), ((y, z), (z, bad))):
+        with pytest.raises(TypeError, match="term_act: p must be a word of swaps of names"):
+            term_act(p, t)
+
+
 def test_term_act_identity():
     t = Lam(x, App(Var(x), Var(z)))
     assert term_act((), t) == t
@@ -507,14 +516,111 @@ def subst_cases(monkeypatch):
     return cases
 
 
-def test_subst_builds_per_node_of_t_and_nothing_per_variable(monkeypatch):
-    cases = [(t, a, u, term_tokens(t)) for t, a, u in subst_cases(monkeypatch)]
+def subterm_ids(t) -> set:
+    """The ids of every node of ``t``."""
+    out, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        out.add(id(t))
+        if type(t) is App:
+            todo += (t.fn, t.arg)
+        elif type(t) is Lam:
+            todo.append(t.body)
+    return out
+
+
+def rule_counts(t, a, u) -> Counter:
+    """What the renaming rule builds for ``subst(t, a, u)``, read off
+    ``reference_subst``'s result: a node that is neither one of ``t``'s
+    nor ``u`` itself is new.  A new abstraction whose binder lies at or
+    above the mark is a renamed binder, one ``Name``, ``Var`` and ``Lam``;
+    every other new node is one rebuilt ``App`` or ``Lam``."""
+    mark = max(a.id, max_name_id(t), max_name_id(u)) + 1
+    old = subterm_ids(t) | {id(u)}
+    counts, todo = Counter(), [reference_subst(t, a, u)]
+    while todo:
+        node = todo.pop()
+        if id(node) in old:
+            continue
+        old.add(id(node))
+        if type(node) is App:
+            counts[App] += 1
+            todo += (node.fn, node.arg)
+        elif type(node) is Lam:
+            counts[Lam] += 1
+            if node.binder.id >= mark:
+                counts[Name] += 1
+                counts[Var] += 1
+            todo.append(node.body)
+    return counts
+
+
+def test_subst_builds_per_renamed_binder_and_rebuilt_node(monkeypatch):
+    cases = [(t, a, u, rule_counts(t, a, u)) for t, a, u in subst_cases(monkeypatch)]
+    # The cases rename binders, rebuild nodes and keep whole terms alike.
+    assert any(expected[Name] for *_, expected in cases)
+    assert any(expected[Lam] > expected[Name] for *_, expected in cases)
+    assert any(not expected for *_, expected in cases)
     counts = count_constructions(monkeypatch)
-    for t, a, u, tokens in cases:
-        lams = sum(type(tok) is tuple for tok in tokens)
+    for t, a, u, expected in cases:
         counts.clear()
         subst(t, a, u)
-        assert counts == Counter({Name: lams, Var: lams, Lam: lams, App: tokens.count("@")}), t
+        assert counts == expected, (t, a, u)
+
+
+def test_subst_returns_a_term_without_the_target_as_it_is():
+    rng = random.Random(11)
+    gen = term_gen(max_size=10)
+    for t in [*all_terms(4, POOL3), *(gen(rng) for _ in range(300))]:
+        for a in (Name(t._top + 1), Name(t._top + 50)):
+            for u in REPLACEMENTS:
+                assert subst(t, a, u) is t
+
+
+def test_subst_shares_a_function_below_the_target():
+    for s in all_terms(4, POOL3):
+        for a in (z, w):
+            if s._top < a.id:
+                for u in REPLACEMENTS:
+                    got = subst(App(s, Var(a)), a, u)
+                    assert got.fn is s and got.arg is u
+
+
+def unwalkable(top):
+    """An ``App`` whose ``_top`` reads ``top`` but whose children are not
+    terms, so any walk into it raises: it can only come back as it is."""
+    node = object.__new__(App)
+    for attr, value in (("fn", "fn"), ("arg", "arg"), ("_top", top)):
+        object.__setattr__(node, attr, value)
+    return node
+
+
+def test_subst_never_walks_a_subterm_below_every_name_it_changes():
+    # s lies below z, the target, and below y, the one binder that could
+    # capture u's name; w and Name(9) lie above both and keep their names.
+    s, u = unwalkable(x.id), Var(y)
+    got = subst(App(s, Var(z)), z, u)
+    assert got.fn is s and got.arg is u
+    got = subst(Lam(y, App(Var(z), s)), z, u)
+    assert got.binder == Name(3) and got.body.fn is u and got.body.arg is s
+    kept = Lam(Name(9), s)
+    got = subst(Lam(w, App(App(s, Var(z)), kept)), z, u)
+    assert got.binder is w and got.body.arg is kept
+    assert got.body.fn.fn is s and got.body.fn.arg is u
+    got = subst(App(Lam(z, s), s), z, u)
+    assert got.fn.binder == Name(3) and got.fn.body is s and got.arg is s
+
+
+def test_normalize_builds_at_most_five_nodes_per_step_on_church_powers(monkeypatch):
+    # c_k c_2 only carries its arguments along; copying them, or renaming
+    # binders that cannot capture, costs more per step as k grows.
+    counts = count_constructions(monkeypatch)
+    for k in range(1, 10):
+        t = App(church(k), church(2))
+        counts.clear()
+        result = normalize(t, 2 ** (k + 1))
+        assert result.normal_form and result.steps == 2 ** (k + 1) - 2
+        assert sum(counts.values()) <= 5 * result.steps, (k, counts)
 
 
 def test_normalize_builds_no_redex_outside_subst_unless_fuel_stops_there(monkeypatch):
@@ -598,6 +704,29 @@ UNBUILDABLE = [
     lambda: Lam(x, " ("),
     lambda: Lam(x, App(Var(x), 5)),
 ]
+
+
+NODES = {
+    "Var": lambda: Var(x),
+    "App": lambda: App(Var(x), Var(y)),
+    "Lam": lambda: Lam(x, Var(x)),
+    "DbVar": lambda: DbVar(0),
+    "DbFree": lambda: DbFree(x),
+    "DbApp": lambda: DbApp(DbVar(0), DbFree(x)),
+    "DbLam": lambda: DbLam(DbVar(0)),
+}
+
+
+@pytest.mark.parametrize("build", NODES.values(), ids=NODES.keys())
+def test_nodes_refuse_every_assignment_and_deletion(build):
+    node = build()
+    before = repr(node)
+    for attr in (*(f.name for f in dataclasses.fields(node)), "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, attr, Var(z))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, attr)
+    assert repr(node) == before and not hasattr(node, "other")
 
 
 @pytest.mark.parametrize("build", UNBUILDABLE)

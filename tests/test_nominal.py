@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -79,6 +80,17 @@ def test_sum_tags_are_never_equivalent():
     assert i.equiv(Left(a), Left(a))
     assert i.act(swap_perm(a, b), Left(a)) == Left(b)
     assert i.support(Right(c)) == frozenset({c})
+
+
+@pytest.mark.parametrize("tag", [Left, Right])
+def test_sum_tags_refuse_every_assignment_and_deletion(tag):
+    v = tag(Name(0))
+    for attr in ("value", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, attr, Name(1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, attr)
+    assert v == tag(Name(0))
 
 
 def test_option_none_is_trivially_supported():
