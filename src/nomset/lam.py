@@ -37,14 +37,19 @@ binder to its depth, set on entering an abstraction and restored on
 leaving it.  Four loops do not fit a fold: :func:`subst` skips every
 subtree it cannot change, which a post-order fold cannot, :func:`alpha_eq`
 walks both terms in lockstep, :func:`_reduce` moves the zipper of
-:func:`normalize` and :func:`beta_step`, which resumes each redex search
-where the last contraction was made, contracts a contractum that lands in
-its parent's function slot against the parent's argument without
-building that application, and keeps only siblings in the frames a
-contraction has rewritten beneath, and ``print_term`` in
+:func:`normalize` and :func:`beta_step`, and ``print_term`` in
 :mod:`nomset.syntax` renders from a stack of nodes and literal strings.
 ``parse_term`` there builds terms on an explicit stack too, of open
 binders and parentheses.
+
+The zipper resumes each redex search where the last contraction was
+made, and contracts a contractum that lands in its parent's function slot
+against the parent's argument without building that application.  Each
+frame holds only the sibling on the path: a binder, an unsearched
+argument or a normal function.  A second list holds the original node of
+every frame pushed since the last contraction, so climbing past an
+untouched subterm gives it back unbuilt, and a contraction clears that
+list, letting go of every subterm it rewrites.
 
 :func:`to_debruijn` converts to a nameless form in which bound variables
 are depth indices; structural equality of images decides alpha-equivalence
@@ -131,6 +136,7 @@ _app_fn, _app_arg, _app_top = (App.__dict__[f].__set__ for f in ("fn", "arg", "_
 _lam_binder, _lam_body, _lam_top = (Lam.__dict__[f].__set__ for f in ("binder", "body", "_top"))
 
 Term = Union[Var, App, Lam]
+_TERMS = (Var, App, Lam)
 
 
 @_sealed
@@ -196,11 +202,14 @@ def _fold(t: Term, var, app, lam, enter=None):
 def term_act(p: Perm, t: Term) -> Term:
     """Apply a permutation to every name in the term, binders included.
     The word is run once, into its image; each name is then one lookup.
-    Each swap must hold two names, objects with an ``int`` ``id``, whether
-    or not the term meets them."""
-    for a, b in p:
-        if type(getattr(a, "id", None)) is not int or type(getattr(b, "id", None)) is not int:
-            raise TypeError("term_act: p must be a word of swaps of names")
+    ``p`` must be an iterable of pairs of names, objects with an ``int``
+    ``id``, whether or not the term meets them."""
+    try:
+        for a, b in p:
+            if type(getattr(a, "id", None)) is not int or type(getattr(b, "id", None)) is not int:
+                raise TypeError
+    except (TypeError, ValueError):
+        raise TypeError("term_act: p must be a word of swaps of names") from None
     get = _image(p).get
     return _fold(t, lambda node: Var(get(node.name.id, node.name)), App,
                  lambda node, s: Lam(get(node.binder.id, node.binder), s))
@@ -405,7 +414,7 @@ def beta_step(t: Term) -> Term | None:
     """One leftmost-outermost step, or ``None`` in normal form.  The
     context is plugged as soon as the redex is contracted, so the rest of
     the term is neither searched nor rebuilt."""
-    ctx, focus, _ = _reduce(t, 0)
+    ctx, _, focus, _ = _reduce(t, 0)
     if ctx is None:
         return None
     focus = subst(focus.fn.body, focus.fn.binder, focus.arg)
@@ -422,42 +431,33 @@ class NormalizeResult:
 
 
 def _plug(frame, focus: Term) -> Term:
-    """Plug ``focus`` into a :func:`_reduce` frame; an unchanged child
-    gives back the frame's original node."""
+    """Build the node a :func:`_reduce` frame stands for around ``focus``:
+    an abstraction for a binder, an application for a term (the argument)
+    or a 1-tuple (the function)."""
     kind = type(frame)
-    if kind is Lam:
-        return frame if focus is frame.body else Lam(frame.binder, focus)
-    if kind is App:
-        return frame if focus is frame.fn else App(focus, frame.arg)
     if kind is Name:
         return Lam(frame, focus)
-    fn, other = frame
-    if fn is None:
-        return App(focus, other)
-    if other is None:
-        return App(fn, focus)
-    return other if focus is other.arg else App(fn, focus)
+    if kind is tuple:
+        return App(frame[0], focus)
+    return App(focus, frame)
 
 
 def _reduce(t: Term, fuel: int):
     """Contract leftmost-outermost redexes in ``t``, at most ``fuel`` of
-    them, and return ``(ctx, focus, steps)``.
+    them, and return ``(ctx, orig, focus, steps)``.
 
     A zipper walk that never restarts from the root.  ``ctx`` holds the
-    frames above ``focus``, each one of
+    frames above ``focus``, each only the sibling on the path:
 
-    - ``Lam``: focus in its body;
-    - ``App``: focus in its function, argument unsearched;
-    - ``(fn, app)``: focus in ``app``'s argument, ``fn`` (``app.fn``) normal;
-    - a ``Name`` ``b``: focus in the body of a new abstraction binding ``b``;
-    - ``(None, arg)``: focus in a new function, ``arg`` unsearched;
-    - ``(fn, None)``: focus in a new argument, ``fn`` normal.
+    - a ``Name`` ``b``: focus in the body of an abstraction binding ``b``;
+    - a term ``arg``: focus in an application's function, ``arg`` unsearched;
+    - ``(fn,)``: focus in an application's argument, ``fn`` normal.
 
-    The first three give back their original node when plugged.  A
-    contraction below such a frame means it never will, so on each
-    contraction every frame above the watermark ``pruned`` is replaced
-    once by the matching one of the last three, which keeps only the
-    sibling and lets the rewritten subterms go.
+    ``orig`` holds the original node of each frame pushed since the last
+    contraction, which are the topmost ``len(orig)`` frames of ``ctx``;
+    a climb past one of them gives back its node, and past any other it
+    plugs the frame.  A contraction clears ``orig``, so the subterms it
+    rewrites are let go.
 
     All left of the focus is normal, so each search resumes at the
     contractum; only the parent can become a redex, when an abstraction
@@ -466,65 +466,59 @@ def _reduce(t: Term, fuel: int):
     fuel runs out, ``focus`` is the next redex and ``ctx`` its unplugged
     context.
     """
-    steps, ctx, focus, pruned = 0, [], t, 0
+    steps, ctx, orig, focus = 0, [], [], t
     while True:
         kind = type(focus)
         if kind is Lam:
-            ctx.append(focus)
+            ctx.append(focus.binder)
+            orig.append(focus)
             focus = focus.body
         elif kind is App and type(focus.fn) is not Lam:
-            ctx.append(focus)
+            ctx.append(focus.arg)
+            orig.append(focus)
             focus = focus.fn
         elif kind is App:  # a redex
             if steps == fuel:
-                return ctx, focus, steps
-            for i in range(pruned, len(ctx)):
-                frame = ctx[i]
-                ctx[i] = (frame.binder if type(frame) is Lam else
-                          (None, frame.arg) if type(frame) is App else (frame[0], None))
+                return ctx, orig, focus, steps
+            orig.clear()
             focus = subst(focus.fn.body, focus.fn.binder, focus.arg)
             steps += 1
-            while (type(focus) is Lam and ctx and type(ctx[-1]) is tuple
-                   and ctx[-1][0] is None):
-                arg = ctx.pop()[1]
+            while type(focus) is Lam and ctx and type(ctx[-1]) in _TERMS:
+                arg = ctx.pop()
                 if steps == fuel:
-                    return ctx, App(focus, arg), steps
+                    return ctx, orig, App(focus, arg), steps
                 focus = subst(focus.body, focus.binder, arg)
                 steps += 1
-            pruned = len(ctx)
         elif kind is Var:  # climb to the nearest frame with an unsearched argument
             while ctx:
                 frame = ctx[-1]
-                if type(frame) is App:
-                    ctx[-1] = (focus, frame)
-                    focus = frame.arg
+                if type(frame) in _TERMS:
+                    ctx[-1] = (focus,)
+                    focus = frame
                     break
-                if type(frame) is tuple and frame[0] is None:
-                    ctx[-1] = (focus, None)
-                    focus = frame[1]
-                    break
-                focus = _plug(ctx.pop(), focus)
+                ctx.pop()
+                focus = orig.pop() if orig else _plug(frame, focus)
             else:
-                return None, focus, steps
-            if pruned > len(ctx):
-                pruned = len(ctx)
+                return None, orig, focus, steps
         else:
             raise TypeError("not a term")
 
 
 def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
     """Contract leftmost-outermost redexes, at most ``fuel`` of them, on
-    the zipper of :func:`_reduce`; the context is plugged back once.
+    the zipper of :func:`_reduce`; the context is plugged back once,
+    giving back the original node of each frame ``orig`` still holds.
     ``fuel`` must be a nonnegative integer: the loop stops only when the
     step count equals it."""
     fuel = operator.index(fuel)
     if fuel < 0:
         raise ValueError("fuel must be nonnegative")
-    ctx, focus, steps = _reduce(t, fuel)
+    ctx, orig, focus, steps = _reduce(t, fuel)
     if ctx is None:
         return NormalizeResult(focus, steps, True)
     while ctx:
-        focus = _plug(ctx.pop(), focus)
+        frame = ctx.pop()
+        focus = orig.pop() if orig else _plug(frame, focus)
     return NormalizeResult(focus, steps, False)
 
 
@@ -545,7 +539,7 @@ def terms_of_size(
     ``pool`` and binders from ``binders`` (default: the same pool)."""
     if binders is None:
         binders = pool
-    if size < 1:
+    if size < 1 or not pool:  # every term has a variable
         return ()
     if size == 1:
         return tuple(Var(a) for a in pool)

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import pickle
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -208,7 +210,8 @@ def test_subst_rejects_a_name_that_is_not_a_name(a):
         subst(Var(x), a, Var(y))
 
 
-@pytest.mark.parametrize("p", [((x, 5),), ((5, x),), ((y, x), (x, "z"))])
+@pytest.mark.parametrize("p", [((x, 5),), ((5, x),), ((y, x), (x, "z")),
+                               ((x,),), (x,), 5, ((x, y, x),)])
 def test_term_act_rejects_a_word_holding_a_non_name(p):
     with pytest.raises(TypeError, match="term_act: p must be a word of swaps of names"):
         term_act(p, Var(x))
@@ -953,30 +956,64 @@ def test_normalize_cut_off_at_every_fuel_matches_reference(t):
 
 
 def test_normalize_keeps_only_siblings_above_each_contraction(monkeypatch):
-    # A frame above a contraction can never give back its original node,
-    # so by the time subst runs each one holds only a sibling: a binder,
-    # (None, arg) or (fn, None).  A frame still holding its node would
-    # keep the rewritten subterms alive until the final plug.
+    # Every frame holds only the sibling on its path: a binder, an
+    # unsearched argument or a 1-tuple of a normal function.  The original
+    # nodes of the frames pushed since the last contraction sit in orig,
+    # which the contraction clears, so by the time subst runs nothing
+    # keeps the subterms it rewrites alive.
     contractions = []
 
     def checked(t, a, u):
         caller = sys._getframe(1)
         assert caller.f_code.co_name == "_reduce"
+        assert caller.f_locals["orig"] == []
         for frame in caller.f_locals["ctx"]:
-            assert type(frame) is Name or (
-                type(frame) is tuple and (frame[0] is None or frame[1] is None)), frame
+            assert type(frame) in (Name, Var, App, Lam) or (
+                type(frame) is tuple and len(frame) == 1
+                and type(frame[0]) in (Var, App, Lam)), frame
         contractions.append(a)
         return subst(t, a, u)
 
     monkeypatch.setattr(nomset.lam, "subst", checked)
     rng = random.Random(5)
     gen = term_gen(max_size=12)
-    # The climb after the first contraction drops below the frames it
-    # pruned, and the abstraction is entered before the second one.
+    # The climb after the first contraction drops below the frames pushed
+    # before it, and the abstraction is entered before the second one.
     lowered = App(App(Var(x), IDENTITY_REDEX), Lam(y, IDENTITY_REDEX))
     for t in [lowered, *FUEL_CUT_TERMS, *(gen(rng) for _ in range(2000))]:
         normalize(t, 50)
     assert len(contractions) > 500
+
+
+@pytest.mark.parametrize("t", [*(App(church(k), church(2)) for k in (8, 9, 10)), mult(30, 21)],
+                         ids=["c8_c2", "c9_c2", "c10_c2", "mult_30_21"])
+def test_normalize_peak_memory_is_its_result(t):
+    # Whatever the zipper keeps, the rewritten subterms must be let go as
+    # the walk goes, so the peak traced while normalizing stays near what
+    # the result itself holds.  gc is off so no collection moves the peak.
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = normalize(t, 10 ** 6)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert result.normal_form
+    assert peak <= 1.25 * kept, (peak, kept)
+
+
+def test_normalize_with_no_fuel_gives_back_the_term():
+    for t in all_terms(5, POOL3):
+        assert normalize(t, 0).term is t
+
+
+def test_normalize_plugs_an_unsearched_sibling_back_unbuilt():
+    r, s = App(Lam(y, Var(y)), Var(z)), App(Lam(z, Var(z)), Var(x))
+    got = normalize(App(App(Var(x), r), s), 1)
+    assert got.term == App(App(Var(x), Var(z)), s)
+    assert got.term.arg is s
 
 
 def test_term_size_and_enumeration_counts():
@@ -989,6 +1026,14 @@ def test_term_size_and_enumeration_counts():
         783,
     ]
     assert all(term_size(t) <= 4 for t in all_terms(4, POOL3))
+
+
+@pytest.mark.parametrize("size", [1, 2, 90, 1500])
+def test_terms_of_size_over_an_empty_pool_is_empty(size):
+    # Every term has a variable, so no pool means no terms; the answer
+    # must not wait on the size-bounded cache or recurse size deep.
+    assert terms_of_size(size, (), (x,)) == ()
+    assert terms_of_size(size, ()) == ()
 
 
 def test_terms_of_size_cache_is_bounded_and_serves_a_whole_universe():
