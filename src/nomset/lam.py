@@ -203,8 +203,10 @@ def term_act(p: Perm, t: Term) -> Term:
     """Apply a permutation to every name in the term, binders included.
     The word is run once, into its image; each name is then one lookup.
     ``p`` must be an iterable of pairs of names, objects with an ``int``
-    ``id``, whether or not the term meets them."""
+    ``id``, whether or not the term meets them; a one-shot iterator is
+    read once, before it is checked."""
     try:
+        p = tuple(p)
         for a, b in p:
             if type(getattr(a, "id", None)) is not int or type(getattr(b, "id", None)) is not int:
                 raise TypeError

@@ -13,9 +13,15 @@ The body of an abstraction extends as far right as possible, so
 parenthesized name pairs, ``(a b)(c d)``, applied left to right;
 whitespace may separate the pairs.
 
-:func:`parse_term` lexes the whole input first, then reads the tokens in
-one loop that keeps the open abstractions and parentheses on an explicit
-stack, so nesting depth is bounded by memory, not the recursion limit.
+:func:`parse_term` reads its input in one scan: a regex search for the
+first character no token can start, reported before any grammar error,
+then one ``findall`` of the tokens as plain strings.  One loop reads
+them, keeping the open abstractions and parentheses on an explicit stack,
+so nesting depth is bounded by memory, not the recursion limit.  The
+loop's per-call table gives each punctuation token its kind and each
+identifier the one ``Var`` that all its occurrences share, interned when
+it is first read.  Positions are not tracked while reading: an error
+computes its line and column from its token's offset.
 
 A :class:`NameTable` maps source identifiers to name indices bijectively.
 One table per CLI invocation makes ``x`` mean the same atom in every
@@ -27,6 +33,7 @@ byte-for-byte and round-trips up to alpha-equivalence.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -71,11 +78,14 @@ class NameTable:
         self._next_id = max(self._next_id, name.id + 1)
 
     def intern(self, label: str) -> Name:
-        """The name for ``label``, assigning the next free index if new."""
-        if label in self.by_label:
-            return self.by_label[label]
-        name = Name(self._next_id)
-        self._bind(label, name)
+        """The name for ``label``.  A new label gets the name at the next
+        free index, which no name in the table can already have."""
+        name = self.by_label.get(label)
+        if name is None:
+            name = Name(self._next_id)
+            self._next_id += 1
+            self.by_label[label] = name
+            self.by_name[name] = label
         return name
 
     def label_of(self, name: Name) -> str:
@@ -95,42 +105,17 @@ class NameTable:
 
 IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<lam>[\\λ])|(?P<dot>\.)|(?P<lp>\()|(?P<rp>\))"
-    rf"|(?P<ident>{IDENT_RE.pattern})"
-)
+# Every token, as the plain string ``findall`` returns; the whitespace
+# between tokens matches nothing and is skipped.
+_LEXEME_RE = re.compile(rf"[\\λ.()]|{IDENT_RE.pattern}")
 
+# The first character no token can start: one outside every token class,
+# or a digit or prime that does not continue an identifier.
+_BAD_CHAR_RE = re.compile(r"[^\s\\λ.()a-zA-Z0-9_']|(?<![a-zA-Z0-9_'])[0-9']")
 
-def _advance(text: str, line: int, col: int) -> tuple[int, int]:
-    """The position just after ``text`` read from ``line:col``.  Line
-    breaks are those of ``str.splitlines``, which ``\\s`` all matches, with
-    ``\\r\\n`` as one break."""
-    rows = (text + ".").splitlines()  # the "." keeps a trailing break's row
-    if len(rows) == 1:
-        return line, col + len(text)
-    return line + len(rows) - 1, len(rows[-1])
-
-
-def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
-    """``(kind, text, line, col)`` for every token, ending with ``eof``."""
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "ws":
-            line, col = _advance(text, line, col)
-        else:
-            tokens.append((kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
-    return tokens
-
+# The kind of each punctuation token, and of the end of input, which
+# ``parse_term`` reads as the token "".
+_KINDS = {"\\": "lam", "λ": "lam", ".": "dot", "(": "lp", ")": "rp", "": "eof"}
 
 _KIND_LABEL = {
     "lam": "'\\'",
@@ -142,28 +127,60 @@ _KIND_LABEL = {
 }
 
 
-def _unexpected(expected: str, token: tuple[str, str, int, int]) -> ParseError:
-    kind, _, line, col = token
-    return ParseError(f"expected {expected}, found {_KIND_LABEL[kind]}", line, col)
+def _error_at(src: str, offset: int, message: str) -> ParseError:
+    """The error at ``src[offset]``.  Line breaks are those of
+    ``str.splitlines``, which ``\\s`` all matches, with ``\\r\\n`` as one."""
+    rows = (src[:offset] + ".").splitlines()  # the "." keeps a trailing break's row
+    return ParseError(message, len(rows), len(rows[-1]))
+
+
+def _unexpected(src: str, tokens: list[str], k: int, expected: str) -> ParseError:
+    """The error at ``tokens[k]``, which is not the ``expected`` token."""
+    found = _KIND_LABEL[_KINDS.get(tokens[k], "ident")]
+    return _token_error(src, k, f"expected {expected}, found {found}")
+
+
+def _token_error(src: str, k: int, message: str) -> ParseError:
+    """The error at the ``k``-th token of the scan, or at the end of input
+    if the scan has only ``k`` tokens."""
+    match = next(itertools.islice(_LEXEME_RE.finditer(src), k, None), None)
+    return _error_at(src, len(src) if match is None else match.start(), message)
 
 
 def parse_term(src: str, table: NameTable | None = None) -> Term:
-    """Parse one term; identifiers are interned into ``table``."""
+    """Parse one term; identifiers are interned into ``table`` in the order
+    they are read, up to the first error.
+
+    The input is scanned once for a character no token can start, which is
+    reported before any grammar error, and once for its tokens.  All the
+    occurrences of an identifier share one ``Var``.  Positions are not
+    tracked while reading: a ``ParseError`` finds its line and column from
+    its token's offset."""
     if table is None:
         table = NameTable()
-    tokens = iter(_tokenize(src))
+    bad = _BAD_CHAR_RE.search(src)
+    if bad is not None:
+        raise _error_at(src, bad.start(), f"unexpected character {bad.group()!r}")
+    tokens = _LEXEME_RE.findall(src)
+    tokens.append("")
+    # Each token's kind, and for an identifier read so far, its Var.
+    kinds: dict = _KINDS.copy()
+    intern = table.intern
     # Open contexts, innermost last: the binder (a Name) of an abstraction
     # whose body is being read, or an open parenthesis, stored as the
     # application to its left.  ``app`` is the application read so far in
     # the innermost context.  None, in either place, means no atom yet.
     stack: list = []
     app = None
+    i = 0
     while True:
-        token = next(tokens)
-        kind = token[0]
-        if kind == "ident":
-            var = Var(table.intern(token[1]))
-            app = var if app is None else App(app, var)
+        token = tokens[i]
+        i += 1
+        kind = kinds.get(token)
+        if kind is None:
+            kind = kinds[token] = Var(intern(token))
+        if type(kind) is Var:
+            app = kind if app is None else App(app, kind)
         elif kind == "lp":
             stack.append(app)
             app = None
@@ -174,7 +191,7 @@ def parse_term(src: str, table: NameTable | None = None) -> Term:
                 app = Lam(stack.pop(), app)
             closer = "rp" if stack else "eof"
             if kind != closer:
-                raise _unexpected(_KIND_LABEL[closer], token)
+                raise _unexpected(src, tokens, i - 1, _KIND_LABEL[closer])
             if not stack:
                 return app
             left = stack.pop()
@@ -182,16 +199,20 @@ def parse_term(src: str, table: NameTable | None = None) -> Term:
         elif kind != "lam":
             if kind != "dot" and stack and type(stack[-1]) is Name:
                 msg = "expected a term (missing abstraction body)"
-                raise ParseError(msg, token[2], token[3])
-            raise _unexpected("identifier or '('", token)
+                raise _token_error(src, i - 1, msg)
+            raise _unexpected(src, tokens, i - 1, "identifier or '('")
         else:
-            token = next(tokens)
-            if token[0] != "ident":
-                raise _unexpected("identifier", token)
-            stack.append(table.intern(token[1]))
-            token = next(tokens)
-            if token[0] != "dot":
-                raise _unexpected("'.'", token)
+            token = tokens[i]
+            i += 1
+            binder = kinds.get(token)
+            if binder is None:
+                binder = kinds[token] = Var(intern(token))
+            if type(binder) is not Var:
+                raise _unexpected(src, tokens, i - 1, "identifier")
+            stack.append(binder.name)
+            if tokens[i] != ".":
+                raise _unexpected(src, tokens, i, "'.'")
+            i += 1
 
 
 _PERM_PAIR_RE = re.compile(
@@ -208,9 +229,8 @@ def parse_perm(src: str, table: NameTable | None = None) -> Perm:
     while pos < len(src):
         m = _PERM_PAIR_RE.match(src, pos)
         if m is None:
-            line, col = _advance(src[:pos], 1, 1)
             msg = "expected a parenthesized name pair like '(a b)'"
-            raise ParseError(msg, line, col)
+            raise _error_at(src, pos, msg)
         swaps.append((table.intern(m.group("a")), table.intern(m.group("b"))))
         pos = m.end()
     return tuple(swaps)

@@ -5,6 +5,8 @@ read from the cache, and of the permutation action and equivalence that
 ran the swap word once per name."""
 
 import random
+import re
+from collections import Counter
 
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for
@@ -13,7 +15,7 @@ from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, fv, term_act
 from nomset.nominal import NominalInstance, instance_name, instance_nameset, instance_pair
 from nomset.perms import perm_domain, swap_apply, swap_perm
 from nomset.suppfn import SuppFn
-from nomset.syntax import _KIND_LABEL, _TOKEN_RE, NameTable, ParseError
+from nomset.syntax import NameTable, ParseError
 
 POOL = tuple(Name(i) for i in range(6))
 
@@ -33,6 +35,18 @@ def rename_binders(t: Term, rng: random.Random, pool=POOL) -> Term:
             c = rng.choice(candidates)
             return Lam(c, term_act(swap_perm(b, c), s))
     raise TypeError(f"not a term: {t!r}")
+
+
+def count_constructions(monkeypatch) -> Counter:
+    """Count every ``Name``, ``Var``, ``App`` and ``Lam`` built from here
+    on, by class, through a counting wrapper around each ``__init__``."""
+    counts: Counter = Counter()
+    for cls in (Name, Var, App, Lam):
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            counts[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
 
 
 def binder_chain(binders, body: Term) -> Term:
@@ -286,27 +300,39 @@ def reference_beta_step(t: Term) -> Term | None:
             return None
 
 
+# The reference parser's own lexer: the whitespace before a token, then
+# the token, if any; and the line breaks of ``str.splitlines``, "\r\n" one.
+_REF_TOKEN_RE = re.compile(r"(\s*)([\\λ.()]|[A-Za-z_][A-Za-z0-9_']*)?")
+_REF_BREAK_RE = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_REF_KIND = {"\\": "lam", "λ": "lam", ".": "dot", "(": "lp", ")": "rp"}
+_REF_LABEL = {"lam": "'\\'", "dot": "'.'", "lp": "'('", "rp": "')'",
+              "ident": "identifier", "eof": "end of input"}
+
+
 def reference_parse_term(src: str, table: NameTable) -> Term:
-    """The recursive-descent parser, three frames per parenthesis;
+    """The recursive-descent parser, three frames per parenthesis, on a
+    lexer of its own that tracks the position of every token;
     ``parse_term`` must return the same term or raise the same
     ``ParseError``, and leave the table in the same state."""
     tokens = []
     line, col, pos = 1, 1, 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        kind, text = m.lastgroup, m.group()
-        if kind != "ws":
-            tokens.append((kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
+    while True:
+        m = _REF_TOKEN_RE.match(src, pos)
+        space, text = m.groups()
+        breaks = list(_REF_BREAK_RE.finditer(space))
+        if breaks:
+            line += len(breaks)
+            col = len(space) - breaks[-1].end() + 1
         else:
-            col += len(text)
+            col += len(space)
         pos = m.end()
-    tokens.append(("eof", "", line, col))
+        if text is None:
+            if pos < len(src):
+                raise ParseError(f"unexpected character {src[pos]!r}", line, col)
+            tokens.append(("eof", "", line, col))
+            break
+        tokens.append((_REF_KIND.get(text, "ident"), text, line, col))
+        col += len(text)
     at = 0
 
     def advance():
@@ -319,7 +345,7 @@ def reference_parse_term(src: str, table: NameTable) -> Term:
 
     def expect(kind):
         if tokens[at][0] != kind:
-            fail(f"expected {_KIND_LABEL[kind]}, found {_KIND_LABEL[tokens[at][0]]}")
+            fail(f"expected {_REF_LABEL[kind]}, found {_REF_LABEL[tokens[at][0]]}")
         return advance()
 
     def term():
@@ -346,7 +372,7 @@ def reference_parse_term(src: str, table: NameTable) -> Term:
             t = term()
             expect("rp")
             return t
-        fail(f"expected identifier or '(', found {_KIND_LABEL[tokens[at][0]]}")
+        fail(f"expected identifier or '(', found {_REF_LABEL[tokens[at][0]]}")
 
     t = term()
     expect("eof")

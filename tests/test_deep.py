@@ -295,13 +295,22 @@ def right_nested_input():
     return "x (" * (N - 1) + "x" + ")" * (N - 1), ["@", x] * (N - 1) + [x]
 
 
+def distinct_identifiers_input():
+    first = max(LABELS.values()).id + 1
+    src = " ".join(f"u{i}" for i in range(N))
+    return src, ["@"] * (N - 1) + [Name(first + i) for i in range(N)]
+
+
 @pytest.mark.parametrize(
     "build",
-    [parens_input, binder_chain_input, left_application_input, right_nested_input],
+    [parens_input, binder_chain_input, left_application_input, right_nested_input,
+     distinct_identifiers_input],
 )
 def test_parse_term(build):
     src, tokens = build()
-    assert term_tokens(parse_term(src, NameTable.from_labels(LABELS))) == tokens
+    with deadline(10, f"parse_term of {build.__name__}"):
+        got = parse_term(src, NameTable.from_labels(LABELS))
+    assert term_tokens(got) == tokens
 
 
 def test_cli_fv_of_deeply_parenthesized_variable(capsys):

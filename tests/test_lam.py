@@ -44,6 +44,7 @@ from nomset.syntax import print_term
 
 from .helpers import (
     binder_chain,
+    count_constructions,
     db_tokens,
     fv_combinators,
     max_name_id,
@@ -267,6 +268,18 @@ def test_term_act_matches_reference_term_act(p, t):
     assert term_tokens(term_act(p, t)) == term_tokens(reference_term_act(p, t))
 
 
+def test_term_act_reads_a_one_shot_word_once():
+    assert term_act(iter([(x, y)]), Var(x)) == Var(y)
+    t = Lam(y, App(App(Var(x), Var(y)), Lam(w, App(Var(z), Var(w)))))
+    for p in ACT_WORDS:
+        expected = term_act(list(p), t)
+        assert term_act(iter(p), t) == expected, p
+        assert term_act((s for s in p), t) == expected, p
+        for a in POOL3 + (w, Name(9)):
+            assert term_act(iter(p), Var(a)) == Var(perm_apply(p, a)), (p, a)
+            assert term_act((s for s in p), Var(a)) == Var(perm_apply(iter(p), a)), (p, a)
+
+
 def test_fv_var():
     assert fv(Var(x)) == frozenset({x})
 
@@ -485,18 +498,6 @@ def test_subst_matches_reference_subst_on_church_redexes(monkeypatch):
         assert result.normal_form and result.term._top == max_name_id(result.term)
     # c_k c_2 takes 2^(k+1) - 2 steps.
     assert len(seen) == sum(2 ** (k + 1) - 2 for k in range(1, 7))
-
-
-def count_constructions(monkeypatch) -> Counter:
-    """Count every ``Name``, ``Var``, ``App`` and ``Lam`` built from here
-    on, by class, through a counting wrapper around each ``__init__``."""
-    counts: Counter = Counter()
-    for cls in (Name, Var, App, Lam):
-        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
-            counts[_cls] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
-    return counts
 
 
 def subst_cases(monkeypatch):

@@ -25,7 +25,14 @@ from nomset.syntax import (
     print_term,
 )
 
-from .helpers import binder_chain, db_tokens, reference_parse_term, reference_print_term
+from .helpers import (
+    binder_chain,
+    count_constructions,
+    db_tokens,
+    reference_parse_term,
+    reference_print_term,
+    term_tokens,
+)
 
 x, y, z = Name(0), Name(1), Name(2)
 
@@ -345,6 +352,59 @@ def test_parse_matches_reference_parser_on_random_token_strings():
     for _ in range(20_000):
         k = rng.randint(0, 30)
         assert_parses_like_reference("".join(rng.choices(TOKEN_ALPHABET, k=k)))
+
+
+# The token alphabet with what lexes differently: digits and primes that
+# do or do not continue an identifier, a non-ASCII letter, Unicode
+# whitespace that breaks no line, and every line break of str.splitlines.
+WIDE_ALPHABET = TOKEN_ALPHABET + (
+    "0", "7", "'", "_", "é", "x1", "\t", "\u00a0", "\u2003", "\x1f",
+) + tuple(LINE_BREAKS)
+
+
+def test_parse_matches_reference_parser_on_random_wide_strings():
+    rng = random.Random(13)
+    for _ in range(20_000):
+        k = rng.randint(0, 30)
+        assert_parses_like_reference("".join(rng.choices(WIDE_ALPHABET, k=k)))
+
+
+def test_lexing_error_leaves_the_table_empty():
+    table = NameTable()
+    with pytest.raises(ParseError) as err:
+        parse_term("(x #", table)
+    assert str(err.value) == "1:4: unexpected character '#'"
+    assert table.by_label == {} and table.by_name == {}
+
+
+def test_lexing_error_wins_over_an_earlier_grammar_error():
+    with pytest.raises(ParseError) as err:
+        parse_term(") #", NameTable())
+    assert str(err.value) == "1:3: unexpected character '#'"
+
+
+def test_parse_builds_one_var_per_identifier_and_one_name_per_new_label(monkeypatch):
+    # Five distinct identifiers, f, q and y' new to the table; eight
+    # applications and three abstractions.
+    src = r"\x. \f. f x (x y) (\x. q x) y' q f"
+    labels = {"x": x, "y": y}
+    expected = reference_parse_term(src, NameTable.from_labels(labels))
+    table = NameTable.from_labels(labels)
+    counts = count_constructions(monkeypatch)
+    got = parse_term(src, table)
+    assert term_tokens(got) == term_tokens(expected)
+    assert (counts[Name], counts[Var], counts[App], counts[Lam]) == (3, 5, 8, 3)
+    assert list(table.by_label) == ["x", "y", "f", "q", "y'"]
+    occurrences, todo = [], [got]
+    while todo:
+        node = todo.pop()
+        if type(node) is Var:
+            occurrences.append(node)
+        elif type(node) is App:
+            todo += (node.fn, node.arg)
+        else:
+            todo.append(node.body)
+    assert len(occurrences) == 9 and len({id(v) for v in occurrences}) == 5
 
 
 token_text = st.lists(st.sampled_from(TOKEN_ALPHABET), max_size=40).map("".join)
