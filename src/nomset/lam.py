@@ -54,9 +54,10 @@ list, letting go of every subterm it rewrites.
 :func:`to_debruijn` converts to a nameless form in which bound variables
 are depth indices; structural equality of images decides alpha-equivalence
 by construction, giving an oracle for :func:`alpha_eq` that shares none of
-its code path.  :func:`alpha_rec` is the recursion principle built on the
-FCB lift: one supported function per constructor, with the binder clause
-descending to alpha-classes.
+its code path.  :func:`alpha_rec` is the recursion principle as a clause
+set for :func:`_fold`: one supported function per constructor, and each
+binder renamed on the way in to a name fresh for the term and the
+clauses, held in a scope map saved and restored as in :func:`to_debruijn`.
 
 :func:`normalize` contracts leftmost-outermost redexes under an explicit
 fuel bound, :func:`beta_step` is its one-step case; reduction strategy is
@@ -70,11 +71,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, TypeVar, Union
 
-from .abstraction import Abstraction
 from .atoms import Name, NameSet, _sealed
 from .nominal import NominalInstance
 from .perms import Perm, _image
-from .suppfn import SuppFn, fcb_lift
+from .suppfn import SuppFn
 
 Y = TypeVar("Y")
 
@@ -389,27 +389,48 @@ def alpha_rec(
     fapp: SuppFn[tuple[Y, Y], Y],
     flam: SuppFn[tuple[Name, Y], Y],
 ) -> SuppFn[Term, Y]:
-    """Alpha-structural recursion: one clause per constructor.
+    """Alpha-structural recursion: one clause per constructor, one fold.
 
-    The binder clause feeds ``[a] r(body)`` through the FCB lift of
-    ``flam``, so the result respects alpha-equivalence provided ``flam``
-    passes ``check_fcb`` and all three clauses honor their declared
-    supports.  Those obligations are the caller's, checked by the
-    samplers beforehand; the combinator itself is total.
+    Pitts's binder rule renames the input: ``\\a. s`` maps to
+    ``flam(c, r((a c) . s))`` for a ``c`` fresh for ``a``, ``s`` and the
+    clauses.  The fold renames every binder on the way in: the one at
+    depth ``k`` becomes ``Name(mark + k)``, ``mark`` being one above every
+    index in the term and in the clauses' union support, so it is fresh
+    for both and for every binder around it.  ``fvar`` gets each bound
+    variable under its binder's new name, and ``flam`` that name with the
+    body's result; a binder costs one ``Name`` and two dict operations.
+
+    Provided ``flam`` passes ``check_fcb`` and all three clauses honor
+    their declared supports, the result does not depend on which fresh
+    names are chosen, and so respects alpha-equivalence: the freshness
+    condition for binders is what makes one fresh choice as good as
+    another.  Those obligations are the caller's, checked by the samplers
+    beforehand; the combinator itself is total.  The tests check the fold
+    against :func:`~nomset.suppfn.fcb_lift` applied at every binder.  A
+    result that holds binders, such as a term, holds the fold's fresh
+    names, so it is determined only up to ``iy.equiv``.
     """
-    flam_bar = fcb_lift(iy, flam)
+    supp = fvar.supp | fapp.supp | flam.supp
+    top = max((n.id for n in supp), default=-1)
 
     def rec(t: Term) -> Y:
-        return _fold(t, lambda node: fvar.fn(node.name),
-                     lambda f, x: fapp.fn((f, x)),
-                     lambda node, s: flam_bar.fn(Abstraction(node.binder, s)))
+        # A root that is not a node has no _top; _fold rejects it.
+        mark = max(getattr(t, "_top", -1), top) + 1
+        scope: dict[int, Name | None] = {}
+        saved: list[Name | None] = []
 
-    return SuppFn(
-        fn=rec,
-        supp=fvar.supp | fapp.supp | flam.supp,
-        dom=instance_term(),
-        cod=iy,
-    )
+        def enter(node: Lam) -> None:
+            saved.append(scope.get(node.binder.id))
+            scope[node.binder.id] = Name(mark + len(saved) - 1)
+
+        def lam(node: Lam, body: Y) -> Y:
+            new, scope[node.binder.id] = scope[node.binder.id], saved.pop()
+            return flam.fn((new, body))
+
+        return _fold(t, lambda node: fvar.fn(scope.get(node.name.id) or node.name),
+                     lambda f, x: fapp.fn((f, x)), lam, enter)
+
+    return SuppFn(fn=rec, supp=supp, dom=instance_term(), cod=iy)
 
 
 def beta_step(t: Term) -> Term | None:

@@ -11,7 +11,8 @@ validated by sampling rather than carried as proofs:
   conjugating by the swap ``(a b)`` fixes the function pointwise
   (see :func:`check_supp_spec`).
 
-On top sit the two combinators that make alpha-structural recursion work:
+On top sit the two combinators of the freshness theorem and the binder
+rule:
 
 * :func:`fresh_f` evaluates ``h : Name -> X`` at one fresh name.  When
   some fresh ``a`` satisfies ``a # h(a)`` (checked by
@@ -25,6 +26,10 @@ On top sit the two combinators that make alpha-structural recursion work:
   sampled by :func:`check_fcb`) asks that some fresh ``a`` is fresh for
   every ``f(a, x)``; under it the lifted function is well defined on
   alpha-classes and agrees with ``f`` on fresh representatives.
+  It is the binder rule of alpha-structural recursion on one
+  abstraction, and the specification of :func:`nomset.lam.alpha_rec`:
+  that recursor renames every binder in one fold instead of calling it,
+  and the tests check it against ``fcb_lift`` applied at every binder.
 
 Function equality is only ever probed pointwise on a finite set
 (:func:`fn_equiv_probe`); full extensional equality is not decidable.

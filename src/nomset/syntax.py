@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .atoms import Name
 from .lam import App, Lam, Term, Var, _fold
@@ -51,17 +51,43 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
 class NameTable:
-    """Bijection between source identifiers and names."""
+    """Bijection between source identifiers and names.
 
-    by_label: dict[str, Name] = field(default_factory=dict)
-    by_name: dict[Name, str] = field(default_factory=dict)
-    # One past the largest bound index: the index ``intern`` assigns next.
-    _next_id: int = field(init=False, repr=False, compare=False)
+    ``by_label`` and ``by_name`` are read-only views of the two maps, so
+    only ``intern``, ``label_of`` and ``from_labels`` add to them, each a
+    pair at a time; a table built from two maps checks that they are
+    mutual inverses."""
 
-    def __post_init__(self) -> None:
-        self._next_id = max((n.id for n in self.by_name), default=-1) + 1
+    __slots__ = ("_by_label", "_by_name", "_next_id")
+
+    def __init__(
+        self, by_label: Mapping[str, Name] = (), by_name: Mapping[Name, str] = ()
+    ) -> None:
+        self._by_label = labels = dict(by_label)
+        self._by_name = names = dict(by_name)
+        # Inverting by_label loses a pair when two labels share a name;
+        # equal sizes rule that out.
+        if len(names) != len(labels) or names != {n: label for label, n in labels.items()}:
+            raise ValueError("by_label and by_name must be mutual inverses")
+        # One past the largest bound index: the index ``intern`` assigns next.
+        self._next_id = max((n.id for n in names), default=-1) + 1
+
+    @property
+    def by_label(self) -> Mapping[str, Name]:
+        return MappingProxyType(self._by_label)
+
+    @property
+    def by_name(self) -> Mapping[Name, str]:
+        return MappingProxyType(self._by_name)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not NameTable:
+            return NotImplemented
+        return self._by_label == other._by_label
+
+    def __repr__(self) -> str:
+        return f"NameTable(by_label={self._by_label!r}, by_name={self._by_name!r})"
 
     @classmethod
     def from_labels(cls, labels: dict[str, Name]) -> "NameTable":
@@ -71,32 +97,32 @@ class NameTable:
         return table
 
     def _bind(self, label: str, name: Name) -> None:
-        if label in self.by_label or name in self.by_name:
+        if label in self._by_label or name in self._by_name:
             raise ValueError(f"label/name already bound: {label!r}/{name!r}")
-        self.by_label[label] = name
-        self.by_name[name] = label
+        self._by_label[label] = name
+        self._by_name[name] = label
         self._next_id = max(self._next_id, name.id + 1)
 
     def intern(self, label: str) -> Name:
         """The name for ``label``.  A new label gets the name at the next
         free index, which no name in the table can already have."""
-        name = self.by_label.get(label)
+        name = self._by_label.get(label)
         if name is None:
             name = Name(self._next_id)
             self._next_id += 1
-            self.by_label[label] = name
-            self.by_name[name] = label
+            self._by_label[label] = name
+            self._by_name[name] = label
         return name
 
     def label_of(self, name: Name) -> str:
         """The label for ``name``, synthesizing one if it was never
         interned from source."""
-        if name in self.by_name:
-            return self.by_name[name]
+        if name in self._by_name:
+            return self._by_name[name]
         base = f"n{name.id}"
         label = base
         k = 0
-        while label in self.by_label:
+        while label in self._by_label:
             k += 1
             label = f"{base}_{k}"
         self._bind(label, name)

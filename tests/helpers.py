@@ -1,8 +1,10 @@
 """Plain-random helpers for building alpha-equal variants in tests, and
 reference copies of the recursive parser, printer and beta step, of
 substitution with every largest name index found by a walk rather than
-read from the cache, and of the permutation action and equivalence that
-ran the swap word once per name."""
+read from the cache, of the permutation action and equivalence that
+ran the swap word once per name, and of alpha-structural recursion as
+the binder rule applied through ``fcb_lift``; substitution, the
+permutation action and term size written as recursors."""
 
 import random
 import re
@@ -11,10 +13,14 @@ from collections import Counter
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec
-from nomset.lam import App, DbApp, DbLam, DbTerm, Lam, Term, Var, fv, term_act
-from nomset.nominal import NominalInstance, instance_name, instance_nameset, instance_pair
-from nomset.perms import perm_domain, swap_apply, swap_perm
-from nomset.suppfn import SuppFn
+from nomset.lam import (
+    App, DbApp, DbLam, DbTerm, Lam, Term, Var, alpha_rec, fv, instance_term, term_act,
+)
+from nomset.nominal import (
+    NominalInstance, instance_name, instance_nameset, instance_pair, instance_trivial,
+)
+from nomset.perms import perm_apply, perm_domain, swap_apply, swap_perm
+from nomset.suppfn import SuppFn, fcb_lift
 from nomset.syntax import NameTable, ParseError
 
 POOL = tuple(Name(i) for i in range(6))
@@ -217,6 +223,68 @@ def fv_combinators():
         cod=inset,
     )
     return fvar, fapp, flam
+
+
+def reference_alpha_rec(iy, fvar, fapp, flam) -> SuppFn:
+    """``alpha_rec`` as Pitts's binder rule read literally, by recursion:
+    ``\\a. s`` goes to ``fcb_lift`` of ``(c, s') -> flam(c, rec(s'))`` on
+    the input abstraction ``[a] s``, which renames ``a`` in ``s`` to a
+    name fresh for ``s`` and the clauses before recurring.  ``alpha_rec``
+    must agree with it up to ``iy.equiv``."""
+    iterm = instance_term()
+    supp = fvar.supp | fapp.supp | flam.supp
+    binder = fcb_lift(iterm, SuppFn(
+        lambda cs: flam.fn((cs[0], rec(cs[1]))), supp,
+        dom=instance_pair(instance_name(), iterm), cod=iy))
+
+    def rec(t: Term):
+        match t:
+            case Var(a):
+                return fvar.fn(a)
+            case App(f, x):
+                return fapp.fn((rec(f), rec(x)))
+            case Lam(a, s):
+                return binder.fn(Abstraction(a, s))
+        raise TypeError(f"not a term: {t!r}")
+
+    return SuppFn(rec, supp, dom=iterm, cod=iy)
+
+
+def _into_terms(fvar, supp, recursor):
+    """A recursor into terms: ``fvar`` with support ``supp`` at variables,
+    and the constructors, with empty support, at the other two nodes."""
+    iterm, iname = instance_term(), instance_name()
+    return recursor(
+        iterm,
+        SuppFn(fvar, supp, dom=iname, cod=iterm),
+        SuppFn(lambda fx: App(*fx), frozenset(), dom=instance_pair(iterm, iterm), cod=iterm),
+        SuppFn(lambda bs: Lam(*bs), frozenset(), dom=instance_pair(iname, iterm), cod=iterm),
+    )
+
+
+def subst_rec(a: Name, u: Term, recursor=alpha_rec) -> SuppFn:
+    """Pitts's substitution of ``u`` for ``a`` as a recursor: ``fvar(b)``
+    is ``u`` when ``b`` is ``a`` and ``Var(b)`` otherwise, with support
+    ``{a}`` and the free names of ``u``."""
+    return _into_terms(lambda b: u if b == a else Var(b), frozenset({a}) | fv(u), recursor)
+
+
+def act_rec(p) -> SuppFn:
+    """The permutation action as a recursor: ``fvar(b)`` is ``Var(p . b)``,
+    with support every name ``p`` mentions."""
+    return _into_terms(lambda b: Var(perm_apply(p, b)), perm_domain(p), alpha_rec)
+
+
+def size_rec() -> SuppFn:
+    """Term size as a recursor into the trivial instance on ints."""
+    itriv, iname = instance_trivial(), instance_name()
+    return alpha_rec(
+        itriv,
+        SuppFn(lambda b: 1, frozenset(), dom=iname, cod=itriv),
+        SuppFn(lambda fx: 1 + fx[0] + fx[1], frozenset(),
+               dom=instance_pair(itriv, itriv), cod=itriv),
+        SuppFn(lambda bs: 1 + bs[1], frozenset(), dom=instance_pair(iname, itriv), cod=itriv),
+    )
 
 
 def alpha_variant_abs(

@@ -39,11 +39,14 @@ from nomset.perms import perm_apply, perm_equiv, swap_perm
 from nomset.syntax import NameTable, parse_term, print_term
 
 from .helpers import (
+    act_rec,
     db_tokens,
     fv_combinators,
     max_name_id,
     reference_beta_step,
     reference_perm_apply,
+    size_rec,
+    subst_rec,
     term_tokens,
 )
 
@@ -227,6 +230,21 @@ def test_alpha_eq(case):
 def test_alpha_rec_computes_fv(case):
     rec = alpha_rec(instance_nameset(), *fv_combinators())
     assert rec(case.term) == case.free
+
+
+def test_recursors_into_terms(case):
+    # The copy recursor, the action by (x v), substitution of x for w and
+    # size.  One new name per binder keeps the fold linear; walking the
+    # body's result at every binder takes minutes on the binder chain.
+    with deadline(10, "alpha_rec into terms"):
+        copied = act_rec(())(case.term)
+        swapped = act_rec(swap_perm(x, v))(case.term)
+        substituted = subst_rec(w, Var(x))(case.term)
+        size = size_rec()(case.term)
+    assert db_tokens(to_debruijn(copied)) == case.tokens
+    assert alpha_eq(swapped, case.swapped)
+    assert alpha_eq(substituted, case.substituted)
+    assert size == case.size
 
 
 def test_normalize_normal_form(case):

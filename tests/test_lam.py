@@ -43,15 +43,19 @@ from nomset.suppfn import SuppFn
 from nomset.syntax import print_term
 
 from .helpers import (
+    act_rec,
     binder_chain,
     count_constructions,
     db_tokens,
     fv_combinators,
     max_name_id,
+    reference_alpha_rec,
     reference_beta_step,
     reference_subst,
     reference_term_act,
     rename_binders,
+    size_rec,
+    subst_rec,
     term_tokens,
 )
 from .strategies import messy_perms, perms, terms
@@ -835,6 +839,69 @@ def test_alpha_rec_is_alpha_invariant():
     for _ in range(200):
         t = gen(rng)
         assert rec(t) == rec(rename_binders(t, rng))
+
+
+# Replacements for substitution by recursion: a name in the pool, one
+# outside it, and two that hold several names of the pool.
+SUBST_REPLACEMENTS = (Var(y), Var(w), App(Var(x), Var(z)), Lam(x, App(Var(x), Var(y))))
+
+
+def test_alpha_rec_substitution_renames_the_input_binder():
+    # Pitts's example, where the clauses' support {x, y} meets the binders.
+    # A recursor that renames the output instead of the input sends \x. x
+    # to \a. y, lets \y. x capture y, and parts the alpha-equal \x. x and
+    # \w. w.
+    rec = subst_rec(x, Var(y))
+    assert alpha_eq(rec(Lam(x, Var(x))), Lam(x, Var(x)))
+    assert alpha_eq(rec(Lam(y, Var(x))), Lam(z, Var(y)))
+    assert alpha_eq(rec(Lam(x, Var(x))), rec(Lam(w, Var(w))))
+
+
+def test_alpha_rec_substitution_matches_subst_exhaustively():
+    terms = list(all_terms(5, POOL3))
+    assert len(terms) * len(POOL3) * len(SUBST_REPLACEMENTS) == 11_916
+    for a in POOL3:
+        for u in SUBST_REPLACEMENTS:
+            rec = subst_rec(a, u)
+            for t in terms:
+                assert alpha_eq(rec(t), subst(t, a, u)), (t, a, u)
+
+
+def test_alpha_rec_is_alpha_invariant_when_binders_meet_the_supports():
+    # The renaming pool holds every target and replacement name, so
+    # binders are renamed into the clauses' supports.
+    rng = random.Random(5)
+    gen = term_gen()
+    for i in range(300):
+        t = gen(rng)
+        rec = subst_rec(POOL3[i % 3], SUBST_REPLACEMENTS[i % 4])
+        assert alpha_eq(rec(t), rec(rename_binders(t, rng, POOL3 + (w,))))
+
+
+def test_alpha_rec_agrees_with_the_binder_rule_through_fcb_lift():
+    terms = list(all_terms(5, POOL3))
+    inset = instance_nameset()
+    rec, ref = alpha_rec(inset, *fv_combinators()), reference_alpha_rec(inset, *fv_combinators())
+    assert all(rec(t) == ref(t) for t in terms)
+    for a in POOL3:
+        for u in SUBST_REPLACEMENTS:
+            rec, ref = subst_rec(a, u), subst_rec(a, u, reference_alpha_rec)
+            for t in terms:
+                assert alpha_eq(rec(t), ref(t)), (t, a, u)
+
+
+@pytest.mark.parametrize(
+    "p", [(), swap_perm(x, y), ((x, y), (y, z)), ((x, w), (z, w))], ids=["id", "xy", "xyz", "xzw"]
+)
+def test_act_rec_matches_term_act_exhaustively(p):
+    rec = act_rec(p)
+    for t in all_terms(6, POOL3):
+        assert alpha_eq(rec(t), term_act(p, t)), t
+
+
+def test_size_rec_matches_term_size_exhaustively():
+    rec = size_rec()
+    assert all(rec(t) == term_size(t) for t in all_terms(6, POOL3))
 
 
 def test_beta_step_contracts_head_redex():

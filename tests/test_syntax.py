@@ -255,6 +255,35 @@ def test_name_table_is_bijective():
         table._bind("foo", Name(99))
 
 
+def test_name_table_maps_are_read_only_views():
+    # Writing q -> Name(0) into both maps would make intern hand r the
+    # name q holds.
+    table = NameTable()
+    with pytest.raises(TypeError):
+        table.by_label["q"] = Name(0)
+    with pytest.raises(TypeError):
+        table.by_name[Name(0)] = "q"
+    with pytest.raises(AttributeError):
+        table.by_label = {"q": Name(0)}
+    assert table.intern("r") == Name(0)
+    assert table.by_label == {"r": Name(0)} and table.by_name == {Name(0): "r"}
+
+
+@pytest.mark.parametrize(
+    "by_label,by_name",
+    [
+        ({"u": Name(5)}, {Name(6): "v"}),
+        ({"u": Name(5)}, {Name(5): "v"}),
+        ({"u": Name(5)}, {}),
+        ({}, {Name(5): "u"}),
+        ({"u": Name(5), "v": Name(5)}, {Name(5): "u"}),
+    ],
+)
+def test_name_table_from_two_maps_must_be_mutual_inverses(by_label, by_name):
+    with pytest.raises(ValueError, match="mutual inverses"):
+        NameTable(by_label=by_label, by_name=by_name)
+
+
 # Label tables for the printer comparison: labels synthesized for every
 # name; user labels that the binder sequence must skip; and a user label
 # that a synthesized one must step around.
