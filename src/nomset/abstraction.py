@@ -12,10 +12,9 @@ finite probe used for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generic, TypeVar
 
-from .atoms import Name, NameSet, _sealed, fresh_for
+from .atoms import Name, NameSet, _value_type, fresh_for
 from .freshness import WitnessError, fresh_tuple
 from .nominal import NominalInstance, instance_name
 from .perms import Perm, perm_apply, swap_perm
@@ -23,8 +22,7 @@ from .perms import Perm, perm_apply, swap_perm
 X = TypeVar("X")
 
 
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_value_type
 class Abstraction(Generic[X]):
     """A name bound in a term; compared by alpha-equivalence."""
 

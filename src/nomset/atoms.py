@@ -13,17 +13,21 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 
 
-def _sealed(cls):
-    """Make every assignment to or deletion of an attribute of ``cls``'s
-    instances raise ``FrozenInstanceError``.
+def _value_type(cls=None, *, order=False):
+    """Make ``cls`` a frozen slots dataclass, ordered if ``order``, whose
+    instances refuse every assignment to or deletion of an attribute with
+    ``FrozenInstanceError``.
 
-    Applied above ``@dataclass(frozen=True, slots=True)``: the
-    ``__setattr__`` that decorator generates names the class it replaced
-    to add slots, so for an undeclared attribute it fails with a
-    ``TypeError`` from ``super``, and a frozen dataclass's body may not
-    define its own.  Constructors store through the slot descriptors or
-    ``object.__setattr__``, which both bypass the class's own.
+    The dataclass's own ``__setattr__`` and ``__delattr__`` are replaced:
+    they name the class it replaced to add slots, so for an undeclared
+    attribute they fail with a ``TypeError`` from ``super``, and a frozen
+    dataclass's body may not define its own.  Constructors store through
+    the slot descriptors or ``object.__setattr__``, which both bypass
+    the class's own.
     """
+    if cls is None:
+        return lambda cls: _value_type(cls, order=order)
+    cls = dataclass(frozen=True, order=order, slots=True)(cls)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -35,8 +39,7 @@ def _sealed(cls):
     return cls
 
 
-@_sealed
-@dataclass(frozen=True, order=True, slots=True)
+@_value_type(order=True)
 class Name:
     """An atom, identified by a natural-number index.
 

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, TypeVar, Union
 
-from .atoms import Name, NameSet, _sealed
+from .atoms import Name, NameSet, _value_type
 from .nominal import NominalInstance
 from .perms import Perm, _image
 from .suppfn import SuppFn
@@ -79,8 +79,7 @@ from .suppfn import SuppFn
 Y = TypeVar("Y")
 
 
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_value_type
 class Var:
     name: Name
     _top: int = field(init=False, repr=False, compare=False)
@@ -93,8 +92,7 @@ class Var:
         _var_top(self, top)
 
 
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_value_type
 class App:
     fn: "Term"
     arg: "Term"
@@ -110,8 +108,7 @@ class App:
         _app_top(self, other if other > top else top)
 
 
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_value_type
 class Lam:
     binder: Name
     body: "Term"
@@ -129,7 +126,7 @@ class Lam:
         _lam_top(self, other if other > top else top)
 
 
-# The constructors store through the slot descriptors, which the sealed
+# The constructors store through the slot descriptors, which the refusing
 # __setattr__ does not guard; object.__setattr__ costs more.
 _var_name, _var_top = (Var.__dict__[f].__set__ for f in ("name", "_top"))
 _app_fn, _app_arg, _app_top = (App.__dict__[f].__set__ for f in ("fn", "arg", "_top"))
@@ -139,27 +136,23 @@ Term = Union[Var, App, Lam]
 _TERMS = (Var, App, Lam)
 
 
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_value_type
 class DbVar:
     index: int
 
 
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_value_type
 class DbFree:
     name: Name
 
 
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_value_type
 class DbApp:
     fn: "DbTerm"
     arg: "DbTerm"
 
 
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_value_type
 class DbLam:
     body: "DbTerm"
 
@@ -202,17 +195,12 @@ def _fold(t: Term, var, app, lam, enter=None):
 def term_act(p: Perm, t: Term) -> Term:
     """Apply a permutation to every name in the term, binders included.
     The word is run once, into its image; each name is then one lookup.
-    ``p`` must be an iterable of pairs of names, objects with an ``int``
-    ``id``, whether or not the term meets them; a one-shot iterator is
-    read once, before it is checked."""
+    ``_image`` rejects a word holding anything but swaps of names, whether
+    or not the term meets them."""
     try:
-        p = tuple(p)
-        for a, b in p:
-            if type(getattr(a, "id", None)) is not int or type(getattr(b, "id", None)) is not int:
-                raise TypeError
-    except (TypeError, ValueError):
+        get = _image(p).get
+    except TypeError:
         raise TypeError("term_act: p must be a word of swaps of names") from None
-    get = _image(p).get
     return _fold(t, lambda node: Var(get(node.name.id, node.name)), App,
                  lambda node, s: Lam(get(node.binder.id, node.binder), s))
 

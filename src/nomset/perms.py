@@ -12,6 +12,12 @@ in one O(|p|) pass.  Two words are compared extensionally with
 ``perm_equiv``, which compares their images, so it costs O(|p| + |q|);
 actions on many names (terms, name sets, supports) build the image once
 and then look each name up.
+
+:func:`_image` is also the one place a word is checked: it raises
+``TypeError`` for any swap that is not a pair of names, so every action
+that builds an image rejects such a word whatever it is applied to.
+:func:`perm_apply` builds no image and checks nothing, because a check
+per swap would slow its per-name loop by about a third.
 """
 
 from __future__ import annotations
@@ -57,29 +63,37 @@ def perm_apply(p: Perm, a: Name) -> Name:
 def _image(p: Perm) -> dict[int, Name]:
     """The moved names of ``p``: each one's index mapped to its image.
 
-    One pass over the word.  ``inv`` maps each moved name's image index
-    back to the name, so the swap ``(x, y)`` finds the two names currently
-    sent to ``x`` and ``y`` in O(1) and exchanges their images; a name
-    sent back to itself is dropped, so equal bijections give equal maps.
+    One pass over the word, so a one-shot iterator is read once.  ``inv``
+    maps each moved name's image index back to the name, so the swap
+    ``(x, y)`` finds the two names currently sent to ``x`` and ``y`` in
+    O(1) and exchanges their images; a name sent back to itself is
+    dropped, so equal bijections give equal maps.  Any swap that is not a
+    pair of names, objects with an ``int`` ``id``, raises ``TypeError``,
+    degenerate or not, and so does a ``p`` that is not a word at all.
     """
     img: dict[int, Name] = {}
     inv: dict[int, Name] = {}
-    for x, y in p:
-        i, j = x.id, y.id
-        if i == j:
-            continue
-        m = inv.pop(i, x)  # the name sent to x so far, now sent to y
-        n = inv.pop(j, y)  # the name sent to y so far, now sent to x
-        if m.id == j:
-            del img[j]
-        else:
-            img[m.id] = y
-            inv[j] = m
-        if n.id == i:
-            del img[i]
-        else:
-            img[n.id] = x
-            inv[i] = n
+    try:
+        for x, y in p:
+            i, j = x.id, y.id
+            if type(i) is not int or type(j) is not int:
+                raise TypeError
+            if i == j:
+                continue
+            m = inv.pop(i, x)  # the name sent to x so far, now sent to y
+            n = inv.pop(j, y)  # the name sent to y so far, now sent to x
+            if m.id == j:
+                del img[j]
+            else:
+                img[m.id] = y
+                inv[j] = m
+            if n.id == i:
+                del img[i]
+            else:
+                img[n.id] = x
+                inv[i] = n
+    except (AttributeError, TypeError, ValueError):
+        raise TypeError("a permutation must be a word of swaps of names") from None
     return img
 
 

@@ -55,9 +55,10 @@ class NameTable:
     """Bijection between source identifiers and names.
 
     ``by_label`` and ``by_name`` are read-only views of the two maps, so
-    only ``intern``, ``label_of`` and ``from_labels`` add to them, each a
-    pair at a time; a table built from two maps checks that they are
-    mutual inverses."""
+    only ``intern`` and ``label_of`` add to them, each a new label with a
+    new name, one pair at a time.  The constructor is the one place that
+    checks given maps: they must be mutual inverses, and ``from_labels``
+    passes it one map and its inverse."""
 
     __slots__ = ("_by_label", "_by_name", "_next_id")
 
@@ -91,17 +92,7 @@ class NameTable:
 
     @classmethod
     def from_labels(cls, labels: dict[str, Name]) -> "NameTable":
-        table = cls()
-        for label, name in labels.items():
-            table._bind(label, name)
-        return table
-
-    def _bind(self, label: str, name: Name) -> None:
-        if label in self._by_label or name in self._by_name:
-            raise ValueError(f"label/name already bound: {label!r}/{name!r}")
-        self._by_label[label] = name
-        self._by_name[name] = label
-        self._next_id = max(self._next_id, name.id + 1)
+        return cls(labels, {name: label for label, name in labels.items()})
 
     def intern(self, label: str) -> Name:
         """The name for ``label``.  A new label gets the name at the next
@@ -125,7 +116,9 @@ class NameTable:
         while label in self._by_label:
             k += 1
             label = f"{base}_{k}"
-        self._bind(label, name)
+        self._by_label[label] = name
+        self._by_name[name] = label
+        self._next_id = max(self._next_id, name.id + 1)
         return label
 
 

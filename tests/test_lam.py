@@ -858,8 +858,8 @@ def test_alpha_rec_substitution_renames_the_input_binder():
 
 
 def test_alpha_rec_substitution_matches_subst_exhaustively():
-    terms = list(all_terms(5, POOL3))
-    assert len(terms) * len(POOL3) * len(SUBST_REPLACEMENTS) == 11_916
+    terms = list(all_terms(6, POOL3))
+    assert len(terms) * len(POOL3) * len(SUBST_REPLACEMENTS) == 59_544
     for a in POOL3:
         for u in SUBST_REPLACEMENTS:
             rec = subst_rec(a, u)

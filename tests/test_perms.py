@@ -1,8 +1,10 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nomset.atoms import Name, fresh_for
-from nomset.nominal import _equivalent_perm
+from nomset.lam import Var, term_act
+from nomset.nominal import _equivalent_perm, instance_name, instance_nameset
 from nomset.perms import (
     _image,
     perm_apply,
@@ -12,6 +14,7 @@ from nomset.perms import (
     perm_inverse,
     swap_apply,
 )
+from nomset.suppfn import SuppFn, fn_act
 
 from .helpers import reference_perm_apply, reference_perm_equiv
 from .strategies import POOL, messy_perms, names, perms, wide_names
@@ -189,3 +192,32 @@ def test_perm_equiv_accepts_rewritten_words(p, rng):
 def test_perm_apply_and_image_match_reference(p, n):
     assert perm_apply(p, n) == reference_perm_apply(p, n)
     assert _image(p) == reference_image(p)
+
+
+# Words that are not words of swaps of names: a swap holding a non-name,
+# first, second, later in the word or both, degenerate or not; a swap that
+# is not a pair; and a ``p`` that is not a word at all.
+NON_NAMES = (Name("a"), Name(2.5), Name(None), Name(True), object())
+BAD_WORDS = (
+    ((a, 5),), ((5, a),), ((b, a), (a, "z")), ((a,),), (a,), 5, ((a, b, a),),
+    *(w for bad in NON_NAMES for w in (((a, bad),), ((bad, a),), ((b, c), (c, bad)), ((bad, bad),))),
+)
+
+
+def test_every_image_building_action_rejects_a_word_that_is_not_of_names():
+    iname = instance_name()
+    const_a = SuppFn(lambda n: a, frozenset({a}), dom=iname, cod=iname)
+    actions = (
+        lambda p: perm_equiv(p, ()),
+        lambda p: perm_equiv((), p),
+        lambda p: instance_nameset().act(p, frozenset({a, b})),
+        lambda p: fn_act(p, const_a),
+        lambda p: term_act(p, Var(a)),
+    )
+    assert len(BAD_WORDS) == 27
+    for p in BAD_WORDS:
+        with pytest.raises(TypeError, match="a permutation must be a word of swaps of names"):
+            _image(p)
+        for act in actions:
+            with pytest.raises(TypeError):
+                act(p)

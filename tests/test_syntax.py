@@ -252,7 +252,9 @@ def test_name_table_is_bijective():
     assert n1 != n2
     assert table.label_of(n1) == "foo"
     with pytest.raises(ValueError):
-        table._bind("foo", Name(99))
+        NameTable.from_labels({"foo": n1, "baz": n1})
+    with pytest.raises(ValueError):
+        NameTable({"foo": n1, "bar": n2}, {n1: "foo", n2: "bar", Name(99): "foo"})
 
 
 def test_name_table_maps_are_read_only_views():
