@@ -40,7 +40,11 @@ walks both terms in lockstep, :func:`_reduce` moves the zipper of
 :func:`normalize` and :func:`beta_step`, and ``print_term`` in
 :mod:`nomset.syntax` renders from a stack of nodes and literal strings.
 ``parse_term`` there builds terms on an explicit stack too, of open
-binders and parentheses.
+binders and parentheses.  The nodes' own ``==``, ``hash``, ``repr`` and
+pickling, and those of the de Bruijn nodes, are the walkers
+``atoms._value_type`` installs on every composite value type: a
+lockstep walk for ``==``, post-order walks for ``hash`` and the pickle
+code, and a pre-order walk for ``repr``.
 
 The zipper resumes each redex search where the last contraction was
 made, and contracts a contractum that lands in its parent's function slot
@@ -82,7 +86,7 @@ Y = TypeVar("Y")
 @_value_type
 class Var:
     name: Name
-    _top: int = field(init=False, repr=False, compare=False)
+    _top: int = field(init=False)
 
     def __init__(self, name: Name) -> None:
         top = getattr(name, "id", None)
@@ -96,7 +100,7 @@ class Var:
 class App:
     fn: "Term"
     arg: "Term"
-    _top: int = field(init=False, repr=False, compare=False)
+    _top: int = field(init=False)
 
     def __init__(self, fn: "Term", arg: "Term") -> None:
         try:
@@ -112,7 +116,7 @@ class App:
 class Lam:
     binder: Name
     body: "Term"
-    _top: int = field(init=False, repr=False, compare=False)
+    _top: int = field(init=False)
 
     def __init__(self, binder: Name, body: "Term") -> None:
         try:

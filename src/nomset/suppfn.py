@@ -69,11 +69,15 @@ class SuppFn(Generic[X, Y]):
 
 def fn_act(p: Perm, f: SuppFn[X, Y]) -> SuppFn[X, Y]:
     """Conjugation action: route the input through the inverse, the output
-    through ``p``; the support is carried along as its image under ``p``."""
+    through ``p``; the support is carried along as its image under ``p``.
+    ``p`` is read once, and ``_image`` checks it before it is used."""
+    if isinstance(p, Iterable):
+        p = tuple(p)
+    supp = _nameset_act(p, f.supp)
     inv = perm_inverse(p)
     return SuppFn(
         fn=lambda x: f.cod.act(p, f.fn(f.dom.act(inv, x))),
-        supp=_nameset_act(p, f.supp),
+        supp=supp,
         dom=f.dom,
         cod=f.cod,
     )

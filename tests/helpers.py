@@ -4,20 +4,23 @@ substitution with every largest name index found by a walk rather than
 read from the cache, of the permutation action and equivalence that
 ran the swap word once per name, and of alpha-structural recursion as
 the binder rule applied through ``fcb_lift``; substitution, the
-permutation action and term size written as recursors."""
+permutation action and term size written as recursors; and the composite
+value types as generated dataclasses."""
 
 import random
 import re
 from collections import Counter
+from dataclasses import make_dataclass
 
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec
 from nomset.lam import (
-    App, DbApp, DbLam, DbTerm, Lam, Term, Var, alpha_rec, fv, instance_term, term_act,
+    App, DbApp, DbFree, DbLam, DbVar, Lam, Term, Var, alpha_rec, fv, instance_term, term_act,
 )
 from nomset.nominal import (
-    NominalInstance, instance_name, instance_nameset, instance_pair, instance_trivial,
+    Left, NominalInstance, Right, instance_name, instance_nameset, instance_pair,
+    instance_trivial,
 )
 from nomset.perms import perm_apply, perm_domain, swap_apply, swap_perm
 from nomset.suppfn import SuppFn, fcb_lift
@@ -62,41 +65,21 @@ def binder_chain(binders, body: Term) -> Term:
     return body
 
 
-def db_tokens(d: DbTerm) -> list:
-    """Prefix tokens of a de Bruijn image, built without recursion: the
-    generated ``==`` on deep images would exceed the recursion limit."""
-    out, todo = [], [d]
-    while todo:
-        d = todo.pop()
-        kind = type(d)
-        if kind is DbApp:
-            out.append("@")
-            todo += (d.arg, d.fn)
-        elif kind is DbLam:
-            out.append("\\")
-            todo.append(d.body)
-        else:
-            out.append(d)
-    return out
+# The composite value types as plain generated dataclasses, with the
+# dataclass decorator's own recursive ==, hash and repr: the reference the
+# shared walkers in nomset.atoms must match.
+MIRRORS = {
+    cls: make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
+    for cls in (Var, App, Lam, DbVar, DbFree, DbApp, DbLam, Abstraction, Left, Right)
+}
 
 
-def term_tokens(t: Term) -> list:
-    """Prefix tokens of a named term, built without recursion; two terms
-    are ``==`` exactly when their tokens are, but the generated ``==``
-    exceeds the recursion limit on deep terms."""
-    out, todo = [], [t]
-    while todo:
-        t = todo.pop()
-        kind = type(t)
-        if kind is App:
-            out.append("@")
-            todo += (t.arg, t.fn)
-        elif kind is Lam:
-            out.append(("\\", t.binder))
-            todo.append(t.body)
-        else:
-            out.append(t.name)
-    return out
+def mirrored(v):
+    """``v`` rebuilt from ``MIRRORS``, by recursion; any other value is kept."""
+    mirror = MIRRORS.get(type(v))
+    if mirror is None:
+        return v
+    return mirror(*(mirrored(getattr(v, f)) for f in v.__match_args__))
 
 
 def max_name_id(t: Term) -> int:

@@ -1,13 +1,18 @@
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for, fresh_many
+from nomset.lam import Var, all_terms, term_act, to_debruijn
+from nomset.nominal import Left, Right
 
+from .helpers import MIRRORS, mirrored
 from .strategies import wide_names
 
 name_sets = st.frozensets(wide_names, max_size=12)
@@ -101,3 +106,44 @@ def test_name_copies_and_pickles(clone):
     for a in (Name(0), Name(12345)):
         c = clone(a)
         assert type(c) is Name and c == a and c.id == a.id and hash(c) == hash(a)
+
+
+def test_value_types_share_one_walker_per_method():
+    methods = ("__eq__", "__hash__", "__repr__", "__copy__", "__reduce__")
+    for cls in MIRRORS:
+        assert all(getattr(cls, m) is getattr(Var, m) for m in methods), cls
+        params = cls.__dataclass_params__
+        assert params.frozen and not (params.eq or params.order or params.repr), cls
+        assert not {"__getstate__", "__setstate__", "__lt__"} & cls.__dict__.keys(), cls
+        assert {f.name for f in dataclasses.fields(cls)} >= set(cls.__match_args__)
+    assert dataclasses.replace(Left(Var(Name(0))), value=3) == Left(3)
+    assert dataclasses.replace(Abstraction(Name(0), 5), name=Name(1)).name == Name(1)
+
+
+def test_walkers_match_generated_dataclasses():
+    # hash and repr on every term of size <= 6 over three names, its de
+    # Bruijn image and three wrappers; == on the pairs of each value with
+    # the same form of the next term in the enumeration, on random pairs,
+    # and on equal pairs of distinct objects: each term and its image
+    # against a second build of either.
+    x = Name(0)
+    rng = random.Random(21)
+    terms = list(all_terms(6, (x, Name(1), Name(2))))
+    assert len(terms) == 4962
+    forms = [lambda t: t, to_debruijn, lambda t: Abstraction(x, t), Left,
+             lambda t: Right(to_debruijn(t))]
+    values = [form(t) for form in forms for t in terms]
+    mirrors = [mirrored(v) for v in values]
+    for v, m in zip(values, mirrors):
+        assert hash(v) == hash(m) and repr(v) == repr(m), v
+    pairs = [(i, i + 1) for i in range(len(values) - 1) if (i + 1) % len(terms)]
+    pairs += [(rng.randrange(len(values)), rng.randrange(len(values))) for _ in range(10_000)]
+    pairs = [(values[i], values[j], mirrors[i], mirrors[j]) for i, j in pairs]
+    for t in terms:
+        for u, v in ((t, term_act((), t)), (to_debruijn(t), to_debruijn(t))):
+            pairs.append((u, v, mirrored(u), mirrored(v)))
+    equal = 0
+    for u, v, mu, mv in pairs:
+        assert (u == v) == (mu == mv), (u, v)
+        equal += u == v
+    assert 2 * 4962 < equal < len(pairs) - 10_000

@@ -46,7 +46,6 @@ from .helpers import (
     act_rec,
     binder_chain,
     count_constructions,
-    db_tokens,
     fv_combinators,
     max_name_id,
     reference_alpha_rec,
@@ -56,7 +55,6 @@ from .helpers import (
     rename_binders,
     size_rec,
     subst_rec,
-    term_tokens,
 )
 from .strategies import messy_perms, perms, terms
 
@@ -67,7 +65,7 @@ iterm = instance_term()
 
 
 def db_eq(t, u):
-    return db_tokens(to_debruijn(t)) == db_tokens(to_debruijn(u))
+    return to_debruijn(t) == to_debruijn(u)
 
 
 def db_subst(d, a, r):
@@ -264,12 +262,12 @@ def test_term_act_matches_reference_term_act_exhaustively():
     for t in all_terms(6, POOL3):
         for p in ACT_WORDS:
             got = term_act(p, t)
-            assert term_tokens(got) == term_tokens(reference_term_act(p, t)), (p, t)
+            assert got == reference_term_act(p, t), (p, t)
 
 
 @given(messy_perms, terms)
 def test_term_act_matches_reference_term_act(p, t):
-    assert term_tokens(term_act(p, t)) == term_tokens(reference_term_act(p, t))
+    assert term_act(p, t) == reference_term_act(p, t)
 
 
 def test_term_act_reads_a_one_shot_word_once():
@@ -418,7 +416,7 @@ def test_subst_on_deep_binder_chains():
         t = shadowing_chain(binders, [binders[INNERMOST[n]] for n in POOL3])
         got = subst(t, w, u)
         expected = db_subst(to_debruijn(t), w, du)
-        assert db_tokens(to_debruijn(got)) == db_tokens(expected)
+        assert to_debruijn(got) == expected
         assert fv(got) == fv(u)
 
 
@@ -482,7 +480,7 @@ def test_subst_matches_reference_subst_exhaustively():
         for a in (*POOL3, w):
             for u in REPLACEMENTS:
                 got = subst(t, a, u)
-                assert term_tokens(got) == term_tokens(reference_subst(t, a, u)), (t, a, u)
+                assert got == reference_subst(t, a, u), (t, a, u)
 
 
 def test_subst_matches_reference_subst_on_church_redexes(monkeypatch):
@@ -492,7 +490,7 @@ def test_subst_matches_reference_subst_on_church_redexes(monkeypatch):
         got = subst(t, a, u)
         assert (t._top, u._top) == (max_name_id(t), max_name_id(u))
         assert got._top == max_name_id(got)
-        assert term_tokens(got) == term_tokens(reference_subst(t, a, u))
+        assert got == reference_subst(t, a, u)
         seen.append(a)
         return got
 
@@ -757,9 +755,9 @@ def test_copies_keep_cached_top(clone):
         c = clone(t)
         assert c == t and c._top == max_name_id(t) == 500
         for body in (Lam(y, App(Var(x), Var(y))), Lam(Name(600), Var(x))):
-            assert term_tokens(subst(body, x, c)) == term_tokens(reference_subst(body, x, t))
+            assert subst(body, x, c) == reference_subst(body, x, t)
         got = subst(c, x, Var(big))
-        assert term_tokens(got) == term_tokens(reference_subst(t, x, Var(big)))
+        assert got == reference_subst(t, x, Var(big))
 
 
 def test_minimize_support_equals_fv_on_alpha_instance():
@@ -957,7 +955,7 @@ def assert_normalize_matches_reference(t, fuel):
     got = normalize(t, fuel)
     assert got.steps == steps, t
     assert got.normal_form == (reference_beta_step(term) is None), t
-    assert term_tokens(got.term) == term_tokens(term), t
+    assert got.term == term, t
 
 
 def test_normalize_matches_reference_step_exhaustively():
@@ -1013,14 +1011,14 @@ FUEL_CUT_TERMS = [
 
 @pytest.mark.parametrize("t", FUEL_CUT_TERMS)
 def test_normalize_cut_off_at_every_fuel_matches_reference(t):
-    trace = [term_tokens(t)]  # the reference term after each step
+    trace = [t]  # the reference term after each step
     term = t
     while (term := reference_beta_step(term)) is not None:
-        trace.append(term_tokens(term))
-    for fuel, tokens in enumerate(trace):
+        trace.append(term)
+    for fuel, expected in enumerate(trace):
         got = normalize(t, fuel)
         assert (got.steps, got.normal_form) == (fuel, fuel == len(trace) - 1)
-        assert term_tokens(got.term) == tokens
+        assert got.term == expected
 
 
 def test_normalize_keeps_only_siblings_above_each_contraction(monkeypatch):

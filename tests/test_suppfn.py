@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from nomset.abstraction import Abstraction, alpha_equiv_dec, instance_abstraction
 from nomset.atoms import Name, fresh_for
 from nomset.lam import Lam, Var, alpha_eq, instance_term
@@ -74,6 +76,17 @@ def test_fn_act_swap_turns_constant_a_into_constant_b():
     assert moved.supp == frozenset({b})
     for x in (a, b, c):
         assert moved(x) == b
+
+
+def test_fn_act_reads_its_word_once_and_checks_it_first():
+    # A one-shot iterator is read once, into the support's image and the
+    # conjugated function alike; a non-word meets _image's own message.
+    moved = fn_act(iter(((a, b), (b, c))), const_a)
+    assert moved.supp == frozenset({c})
+    assert [moved(x) for x in (a, b, c)] == [c, c, c]
+    for p in (5, None, [a]):
+        with pytest.raises(TypeError, match="a permutation must be a word of swaps of names"):
+            fn_act(p, const_a)
 
 
 def test_fn_act_supp_is_the_image():
