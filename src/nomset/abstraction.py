@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Generic, TypeVar
 
-from .atoms import Name, NameSet, _value_type, fresh_for
+from .atoms import Name, NameSet, _Node, _node_dataclass, fresh_for
 from .freshness import WitnessError, fresh_tuple
 from .nominal import NominalInstance, instance_name
 from .perms import Perm, perm_apply, swap_perm
@@ -22,8 +22,8 @@ from .perms import Perm, perm_apply, swap_perm
 X = TypeVar("X")
 
 
-@_value_type
-class Abstraction(Generic[X]):
+@_node_dataclass
+class Abstraction(_Node, Generic[X]):
     """A name bound in a term; compared by alpha-equivalence."""
 
     name: Name

@@ -41,8 +41,8 @@ walks both terms in lockstep, :func:`_reduce` moves the zipper of
 :mod:`nomset.syntax` renders from a stack of nodes and literal strings.
 ``parse_term`` there builds terms on an explicit stack too, of open
 binders and parentheses.  The nodes' own ``==``, ``hash``, ``repr`` and
-pickling, and those of the de Bruijn nodes, are the walkers
-``atoms._value_type`` installs on every composite value type: a
+pickling, and those of the de Bruijn nodes, are the walkers of their
+base class ``atoms._Node``, shared by every composite value type: a
 lockstep walk for ``==``, post-order walks for ``hash`` and the pickle
 code, and a pre-order walk for ``repr``.
 
@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, TypeVar, Union
 
-from .atoms import Name, NameSet, _value_type
+from .atoms import Name, NameSet, _Node, _node_dataclass
 from .nominal import NominalInstance
 from .perms import Perm, _image
 from .suppfn import SuppFn
@@ -83,8 +83,8 @@ from .suppfn import SuppFn
 Y = TypeVar("Y")
 
 
-@_value_type
-class Var:
+@_node_dataclass
+class Var(_Node):
     name: Name
     _top: int = field(init=False)
 
@@ -96,8 +96,8 @@ class Var:
         _var_top(self, top)
 
 
-@_value_type
-class App:
+@_node_dataclass
+class App(_Node):
     fn: "Term"
     arg: "Term"
     _top: int = field(init=False)
@@ -112,8 +112,8 @@ class App:
         _app_top(self, other if other > top else top)
 
 
-@_value_type
-class Lam:
+@_node_dataclass
+class Lam(_Node):
     binder: Name
     body: "Term"
     _top: int = field(init=False)
@@ -140,24 +140,24 @@ Term = Union[Var, App, Lam]
 _TERMS = (Var, App, Lam)
 
 
-@_value_type
-class DbVar:
+@_node_dataclass
+class DbVar(_Node):
     index: int
 
 
-@_value_type
-class DbFree:
+@_node_dataclass
+class DbFree(_Node):
     name: Name
 
 
-@_value_type
-class DbApp:
+@_node_dataclass
+class DbApp(_Node):
     fn: "DbTerm"
     arg: "DbTerm"
 
 
-@_value_type
-class DbLam:
+@_node_dataclass
+class DbLam(_Node):
     body: "DbTerm"
 
 

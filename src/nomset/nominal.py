@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
-from .atoms import Name, NameSet, _value_type, fresh_many
+from .atoms import Name, NameSet, _Node, _node_dataclass, fresh_many
 from .perms import Perm, _nameset_act, perm_apply, perm_compose, swap_perm
 
 X = TypeVar("X")
@@ -94,13 +94,13 @@ def instance_pair(
     )
 
 
-@_value_type
-class Left(Generic[X]):
+@_node_dataclass
+class Left(_Node, Generic[X]):
     value: X
 
 
-@_value_type
-class Right(Generic[Y]):
+@_node_dataclass
+class Right(_Node, Generic[Y]):
     value: Y
 
 

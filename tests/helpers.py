@@ -4,9 +4,12 @@ substitution with every largest name index found by a walk rather than
 read from the cache, of the permutation action and equivalence that
 ran the swap word once per name, and of alpha-structural recursion as
 the binder rule applied through ``fcb_lift``; substitution, the
-permutation action and term size written as recursors; and the composite
-value types as generated dataclasses."""
+permutation action and term size written as recursors; the composite
+value types as generated dataclasses; and copies and pickle round trips
+by name."""
 
+import copy
+import pickle
 import random
 import re
 from collections import Counter
@@ -71,6 +74,15 @@ def binder_chain(binders, body: Term) -> Term:
 MIRRORS = {
     cls: make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
     for cls in (Var, App, Lam, DbVar, DbFree, DbApp, DbLam, Abstraction, Left, Right)
+}
+
+
+# Copies and pickle round trips at every protocol, by name.
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle{p}": lambda t, p=p: pickle.loads(pickle.dumps(t, p))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)},
 }
 
 

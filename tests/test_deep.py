@@ -9,7 +9,6 @@ stacks, so they are applied to deep values directly.
 import copy
 import gc
 import math
-import pickle
 import signal
 import sys
 import time
@@ -45,6 +44,7 @@ from nomset.perms import perm_apply, perm_equiv, swap_perm
 from nomset.syntax import NameTable, parse_term, print_term
 
 from .helpers import (
+    CLONES,
     act_rec,
     fv_combinators,
     max_name_id,
@@ -323,14 +323,6 @@ def test_normalize_resumes_after_each_contraction():
 
 def test_print_term(case):
     assert print_term(case.term, NameTable.from_labels(LABELS)) == case.printed
-
-
-CLONES = {
-    "copy": copy.copy,
-    "deepcopy": copy.deepcopy,
-    **{f"pickle{p}": lambda t, p=p: pickle.loads(pickle.dumps(t, p))
-       for p in range(pickle.HIGHEST_PROTOCOL + 1)},
-}
 
 
 def test_eq_hash_and_repr(case):
