@@ -11,7 +11,7 @@ Every value type of the package derives from one of two bases here.
 ``_Value`` refuses assignment and deletion; ``Name`` is one, and its
 dataclass methods never recurse.  ``_Node``, a ``_Value``, is the base of
 the composite value types, the term and de Bruijn nodes, ``Abstraction``,
-``Left`` and ``Right``: its ``==``, ``hash``, ``repr``, copy and pickling
+``Left`` and ``Right``: its ``==``, ``hash``, ``repr``, copies and pickling
 walk a value of any depth on an explicit stack, reading each class's
 fields from its ``__match_args__``.  The one piece of module state is the
 set of nodes whose ``repr`` is being written, kept per thread as the
@@ -19,6 +19,7 @@ generated dataclass repr kept it, so that a value holding itself through
 a mutable field prints ``...``.
 """
 
+from copy import deepcopy
 from dataclasses import FrozenInstanceError, dataclass
 from threading import get_ident
 
@@ -52,13 +53,14 @@ class _Node(_Value):
     ``dataclasses.replace``, ``__match_args__`` and slots and generates
     no method.
 
-    Its ``==``, ``hash``, ``repr``, ``__copy__`` and ``__reduce__`` are
-    explicit-stack walkers that descend into each field of
-    ``__match_args__`` holding a node and leave any other value to its own
-    methods.  They give what the generated dataclass methods gave, field
-    tuples compared and hashed, ``Cls(field=value, ...)`` written and a
-    shallow ``copy.copy``, on values of any depth, and a subclass of a
-    value type behaves as a subclass of the generated dataclass did."""
+    Its ``==``, ``hash``, ``repr``, ``__copy__``, ``__deepcopy__`` and
+    ``__reduce__`` are explicit-stack walkers that descend into each field
+    of ``__match_args__`` holding a node and leave any other value to its
+    own methods.  They give what the generated dataclass methods gave,
+    field tuples compared and hashed, ``Cls(field=value, ...)`` written, a
+    shallow ``copy.copy`` and a ``copy.deepcopy`` that keeps cycles
+    through leaves, on values of any depth, and a subclass of a value type
+    behaves as a subclass of the generated dataclass did."""
 
     __slots__ = ()
 
@@ -159,12 +161,33 @@ class _Node(_Value):
         the constructor, as ``copy.copy`` made of a dataclass."""
         return type(self)(*[getattr(self, f) for f in type(self).__match_args__])
 
+    def __deepcopy__(self, memo):
+        """A deep copy that keeps shared nodes shared and a value that
+        holds itself through a leaf closed, as the generated dataclass's
+        did: every node below this one is put into ``memo``, as a new
+        object, before any leaf is copied, and is then built through its
+        constructor, in post-order, first each node whose fields are all
+        value types: so every term is built before a leaf's copy can build
+        a new term over it."""
+        order, todo = [], [self]
+        while todo:
+            v = todo.pop()
+            if v is _END:
+                order.append(todo.pop())
+            elif isinstance(v, _Node) and id(v) not in memo:
+                memo[id(v)] = object.__new__(type(v))
+                todo += (v, _END, *[getattr(v, f) for f in type(v).__match_args__])
+        order.sort(key=lambda v: any(not isinstance(getattr(v, f), _Value)
+                                     for f in type(v).__match_args__))
+        for v in order:
+            memo[id(v)].__init__(*[deepcopy(getattr(v, f), memo) for f in type(v).__match_args__])
+        return memo[id(self)]
+
     def __reduce__(self):
-        """Pickle and deepcopy through a flat post-order code: a leaf is
-        ``None`` with its value next in ``leaves``, a node its type, after
-        its fields, and a node met before its index among the nodes, so
-        shared subterms stay shared.  :func:`_rebuild` calls the
-        constructors."""
+        """Pickle through a flat post-order code: a leaf is ``None`` with
+        its value next in ``leaves``, a node its type, after its fields,
+        and a node met before its index among the nodes, so shared
+        subterms stay shared.  :func:`_rebuild` calls the constructors."""
         code, leaves, seen, todo = [], [], {}, [self]
         while todo:
             v = todo.pop()

@@ -32,19 +32,23 @@ n nodes.
 Every traversal runs on an explicit stack, so depth is bounded by memory,
 not the recursion limit.  :func:`fv`, :func:`term_act`, :func:`term_size`,
 :func:`to_debruijn` and :func:`alpha_rec` are clause sets for one
-post-order walker, :func:`_fold`; :func:`to_debruijn` maps each in-scope
-binder to its depth, set on entering an abstraction and restored on
-leaving it.  Four loops do not fit a fold: :func:`subst` skips every
-subtree it cannot change, which a post-order fold cannot, :func:`alpha_eq`
-walks both terms in lockstep, :func:`_reduce` moves the zipper of
-:func:`normalize` and :func:`beta_step`, and ``print_term`` in
+post-order walker, :func:`_fold`, which keeps the binder scope for all of
+them: one map from each in-scope binder to its depth, saved on entering
+an abstraction and restored on leaving it, gives each variable clause
+the depth of its binder, or ``None`` when it is free.  No clause holds
+scope state of its own; :func:`term_act` and :func:`term_size` read none
+and pay for the bookkeeping, a dict read per variable and three dict
+operations per binder.  Four loops do not fit a fold: :func:`subst` skips
+every subtree it cannot change, which a post-order fold cannot,
+:func:`alpha_eq` walks both terms in lockstep, :func:`_reduce` moves the
+zipper of :func:`normalize` and :func:`beta_step`, and ``print_term`` in
 :mod:`nomset.syntax` renders from a stack of nodes and literal strings.
 ``parse_term`` there builds terms on an explicit stack too, of open
-binders and parentheses.  The nodes' own ``==``, ``hash``, ``repr`` and
-pickling, and those of the de Bruijn nodes, are the walkers of their
-base class ``atoms._Node``, shared by every composite value type: a
-lockstep walk for ``==``, post-order walks for ``hash`` and the pickle
-code, and a pre-order walk for ``repr``.
+binders and parentheses.  The nodes' own ``==``, ``hash``, ``repr``, deep
+copy and pickling, and those of the de Bruijn nodes, are the walkers of
+their base class ``atoms._Node``, shared by every composite value type: a
+lockstep walk for ``==``, post-order walks for ``hash``, the deep copy
+and the pickle code, and a pre-order walk for ``repr``.
 
 The zipper resumes each redex search where the last contraction was
 made, and contracts a contractum that lands in its parent's function slot
@@ -53,7 +57,8 @@ frame holds only the sibling on the path: a binder, an unsearched
 argument or a normal function.  A second list holds the original node of
 every frame pushed since the last contraction, so climbing past an
 untouched subterm gives it back unbuilt, and a contraction clears that
-list, letting go of every subterm it rewrites.
+list, letting go of every subterm it rewrites.  :func:`normalize` and
+:func:`beta_step` plug the context back through one helper.
 
 :func:`to_debruijn` converts to a nameless form in which bound variables
 are depth indices; structural equality of images decides alpha-equivalence
@@ -61,7 +66,7 @@ by construction, giving an oracle for :func:`alpha_eq` that shares none of
 its code path.  :func:`alpha_rec` is the recursion principle as a clause
 set for :func:`_fold`: one supported function per constructor, and each
 binder renamed on the way in to a name fresh for the term and the
-clauses, held in a scope map saved and restored as in :func:`to_debruijn`.
+clauses, read off the depth :func:`_fold` gives it.
 
 :func:`normalize` contracts leftmost-outermost redexes under an explicit
 fuel bound, :func:`beta_step` is its one-step case; reduction strategy is
@@ -168,29 +173,37 @@ DbTerm = Union[DbVar, DbFree, DbApp, DbLam]
 _APP_DONE, _LAM_DONE, _RESTORE = object(), object(), object()
 
 
-def _fold(t: Term, var, app, lam, enter=None):
-    """Post-order fold of ``t`` on an explicit stack: ``var(node)``,
-    ``app(fn_result, arg_result)`` and ``lam(node, body_result)`` give
-    each node's result, left to right as in structural recursion, and
-    ``enter(node)``, if given, runs before an abstraction's body.  No
+def _fold(t: Term, var, app, lam):
+    """Post-order fold of ``t`` on an explicit stack, keeping the binder
+    scope: ``var(node, bound, depth)``, ``app(fn_result, arg_result)`` and
+    ``lam(node, body_result, depth)`` give each node's result, left to
+    right as in structural recursion.  ``depth`` counts the abstractions
+    around the node, and ``bound`` is the depth of the abstraction that
+    binds the variable, or ``None`` when it is free.  The scope maps each
+    binder's index to its depth; an abstraction saves the entry it
+    shadows below itself on the stack and restores it on leaving.  No
     clause reads an application's node, so it is not kept on the stack."""
-    todo, done = [t], []
+    scope: dict[int, int | None] = {}
+    todo, done, depth = [t], [], 0
     while todo:
         node = todo.pop()
         kind = type(node)
         if kind is Var:
-            done.append(var(node))
+            done.append(var(node, scope.get(node.name.id), depth))
         elif kind is App:
             todo += (_APP_DONE, node.arg, node.fn)
         elif kind is Lam:
-            if enter is not None:
-                enter(node)
-            todo += (node, _LAM_DONE, node.body)
+            b = node.binder.id
+            todo += (scope.get(b), node, _LAM_DONE, node.body)
+            scope[b] = depth
+            depth += 1
         elif node is _APP_DONE:
             x = done.pop()
             done[-1] = app(done[-1], x)
         elif node is _LAM_DONE:
-            done[-1] = lam(todo.pop(), done[-1])
+            node, depth = todo.pop(), depth - 1
+            scope[node.binder.id] = todo.pop()
+            done[-1] = lam(node, done[-1], depth)
         else:
             raise TypeError("not a term")
     return done[0]
@@ -205,27 +218,16 @@ def term_act(p: Perm, t: Term) -> Term:
         get = _image(p).get
     except TypeError:
         raise TypeError("term_act: p must be a word of swaps of names") from None
-    return _fold(t, lambda node: Var(get(node.name.id, node.name)), App,
-                 lambda node, s: Lam(get(node.binder.id, node.binder), s))
+    return _fold(t, lambda node, bound, depth: Var(get(node.name.id, node.name)), App,
+                 lambda node, s, depth: Lam(get(node.binder.id, node.binder), s))
 
 
 def fv(t: Term) -> NameSet:
-    """Free variables; the support of the alpha-instance.  One output set,
-    and a count of enclosing binders per name index, so no set is copied."""
+    """Free variables; the support of the alpha-instance.  Each free
+    occurrence goes into one output set, so no set is copied."""
     out: set[Name] = set()
-    bound: dict[int, int] = {}
-
-    def enter(node: Lam) -> None:
-        bound[node.binder.id] = bound.get(node.binder.id, 0) + 1
-
-    def var(node: Var) -> None:
-        if not bound.get(node.name.id):
-            out.add(node.name)
-
-    def lam(node: Lam, body: None) -> None:
-        bound[node.binder.id] -= 1
-
-    _fold(t, var, lambda f, x: None, lam, enter)
+    _fold(t, lambda node, bound, depth: out.add(node.name) if bound is None else None,
+          lambda f, x: None, lambda node, s, depth: None)
     return frozenset(out)
 
 
@@ -282,22 +284,9 @@ def instance_term() -> NominalInstance[Term]:
 def to_debruijn(t: Term) -> DbTerm:
     """Nameless conversion: bound occurrences become binder-depth indices,
     free occurrences stay named."""
-    level: dict[int, int | None] = {}
-    saved: list[int | None] = []
-
-    def enter(node: Lam) -> None:
-        saved.append(level.get(node.binder.id))
-        level[node.binder.id] = len(saved) - 1
-
-    def var(node: Var) -> DbTerm:
-        i = level.get(node.name.id)
-        return DbFree(node.name) if i is None else DbVar(len(saved) - 1 - i)
-
-    def lam(node: Lam, body: DbTerm) -> DbTerm:
-        level[node.binder.id] = saved.pop()
-        return DbLam(body)
-
-    return _fold(t, var, DbApp, lam, enter)
+    return _fold(t, lambda node, bound, depth:
+                 DbFree(node.name) if bound is None else DbVar(depth - 1 - bound),
+                 DbApp, lambda node, s, depth: DbLam(s))
 
 
 def subst(t: Term, a: Name, u: Term) -> Term:
@@ -390,7 +379,7 @@ def alpha_rec(
     index in the term and in the clauses' union support, so it is fresh
     for both and for every binder around it.  ``fvar`` gets each bound
     variable under its binder's new name, and ``flam`` that name with the
-    body's result; a binder costs one ``Name`` and two dict operations.
+    body's result; each bound variable and each binder costs one ``Name``.
 
     Provided ``flam`` passes ``check_fcb`` and all three clauses honor
     their declared supports, the result does not depend on which fresh
@@ -408,19 +397,10 @@ def alpha_rec(
     def rec(t: Term) -> Y:
         # A root that is not a node has no _top; _fold rejects it.
         mark = max(getattr(t, "_top", -1), top) + 1
-        scope: dict[int, Name | None] = {}
-        saved: list[Name | None] = []
-
-        def enter(node: Lam) -> None:
-            saved.append(scope.get(node.binder.id))
-            scope[node.binder.id] = Name(mark + len(saved) - 1)
-
-        def lam(node: Lam, body: Y) -> Y:
-            new, scope[node.binder.id] = scope[node.binder.id], saved.pop()
-            return flam.fn((new, body))
-
-        return _fold(t, lambda node: fvar.fn(scope.get(node.name.id) or node.name),
-                     lambda f, x: fapp.fn((f, x)), lam, enter)
+        return _fold(t, lambda node, bound, depth: fvar.fn(
+                         node.name if bound is None else Name(mark + bound)),
+                     lambda f, x: fapp.fn((f, x)),
+                     lambda node, s, depth: flam.fn((Name(mark + depth), s)))
 
     return SuppFn(fn=rec, supp=supp, dom=instance_term(), cod=iy)
 
@@ -432,10 +412,7 @@ def beta_step(t: Term) -> Term | None:
     ctx, _, focus, _ = _reduce(t, 0)
     if ctx is None:
         return None
-    focus = subst(focus.fn.body, focus.fn.binder, focus.arg)
-    while ctx:
-        focus = _plug(ctx.pop(), focus)
-    return focus
+    return _unplug(ctx, (), subst(focus.fn.body, focus.fn.binder, focus.arg))
 
 
 @dataclass(frozen=True)
@@ -455,6 +432,17 @@ def _plug(frame, focus: Term) -> Term:
     if kind is tuple:
         return App(frame[0], focus)
     return App(focus, frame)
+
+
+def _unplug(ctx, orig, focus: Term) -> Term:
+    """Plug ``focus`` back into every frame of ``ctx``, innermost first.
+    ``orig`` holds the original node of each of the innermost
+    ``len(orig)`` frames, pushed since the last contraction; those are
+    given back unbuilt."""
+    while ctx:
+        frame = ctx.pop()
+        focus = orig.pop() if orig else _plug(frame, focus)
+    return focus
 
 
 def _reduce(t: Term, fuel: int):
@@ -531,10 +519,7 @@ def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
     ctx, orig, focus, steps = _reduce(t, fuel)
     if ctx is None:
         return NormalizeResult(focus, steps, True)
-    while ctx:
-        frame = ctx.pop()
-        focus = orig.pop() if orig else _plug(frame, focus)
-    return NormalizeResult(focus, steps, False)
+    return NormalizeResult(_unplug(ctx, orig, focus), steps, False)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +528,8 @@ def normalize(t: Term, fuel: int = 1000) -> NormalizeResult:
 
 def term_size(t: Term) -> int:
     """Constructor count."""
-    return _fold(t, lambda node: 1, lambda f, x: 1 + f + x, lambda node, s: 1 + s)
+    return _fold(t, lambda node, bound, depth: 1, lambda f, x: 1 + f + x,
+                 lambda node, s, depth: 1 + s)
 
 
 @lru_cache(maxsize=64)

@@ -300,8 +300,8 @@ def print_term(t: Term, table: NameTable | None = None) -> str:
             todo += (_CLOSE, f, _OPEN) if type(f) is Lam else (f,)
         elif kind is Lam:
             if id(node) not in lam_fv:
-                _fold(node, lambda v: frozenset((v.name,)), lambda f, x: f | x,
-                      lambda lam, s: lam_fv.setdefault(id(lam), s - {lam.binder}))
+                _fold(node, lambda v, bound, depth: frozenset((v.name,)), lambda f, x: f | x,
+                      lambda lam, s, depth: lam_fv.setdefault(id(lam), s - {lam.binder}))
             avoid = {labels.get(n) or table.label_of(n) for n in lam_fv[id(node)]}
             label = next(c for c in _fresh_labels() if c not in avoid)
             todo += ((node.binder, labels.get(node.binder)), _END, node.body)

@@ -1,12 +1,12 @@
 """Plain-random helpers for building alpha-equal variants in tests, and
-reference copies of the recursive parser, printer and beta step, of
+reference copies of the recursive parser, printer and beta step; free
+variables, the de Bruijn conversion and term size by plain recursion;
 substitution with every largest name index found by a walk rather than
-read from the cache, of the permutation action and equivalence that
-ran the swap word once per name, and of alpha-structural recursion as
-the binder rule applied through ``fcb_lift``; substitution, the
-permutation action and term size written as recursors; the composite
-value types as generated dataclasses; and copies and pickle round trips
-by name."""
+read from the cache, the permutation action and equivalence that ran the
+swap word once per name, and alpha-structural recursion as the binder
+rule applied through ``fcb_lift``; substitution, the permutation action
+and term size written as recursors; the composite value types as
+generated dataclasses; and copies and pickle round trips by name."""
 
 import copy
 import pickle
@@ -198,6 +198,44 @@ def reference_term_act(p, t: Term) -> Term:
         else:
             todo += [("lam", node), ("visit", node.body)]
     return out[0]
+
+
+def reference_fv(t: Term) -> frozenset:
+    """Free variables by plain recursion: a body's, less its binder."""
+    match t:
+        case Var(a):
+            return frozenset({a})
+        case App(f, x):
+            return reference_fv(f) | reference_fv(x)
+        case Lam(a, s):
+            return reference_fv(s) - {a}
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_to_debruijn(t: Term, scope: tuple = ()):
+    """The nameless form by plain recursion: ``scope`` lists the enclosing
+    binders, innermost first, and a bound variable's index is the position
+    of the innermost binder of its name."""
+    match t:
+        case Var(a):
+            return DbVar(scope.index(a)) if a in scope else DbFree(a)
+        case App(f, x):
+            return DbApp(reference_to_debruijn(f, scope), reference_to_debruijn(x, scope))
+        case Lam(a, s):
+            return DbLam(reference_to_debruijn(s, (a,) + scope))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def reference_term_size(t: Term) -> int:
+    """Constructor count by plain recursion."""
+    match t:
+        case Var(_):
+            return 1
+        case App(f, x):
+            return 1 + reference_term_size(f) + reference_term_size(x)
+        case Lam(_, s):
+            return 1 + reference_term_size(s)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def fv_combinators():

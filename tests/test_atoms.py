@@ -111,7 +111,7 @@ def test_name_copies_and_pickles(clone):
 
 
 def test_value_types_share_one_walker_per_method():
-    methods = ("__eq__", "__hash__", "__repr__", "__copy__", "__reduce__")
+    methods = ("__eq__", "__hash__", "__repr__", "__copy__", "__deepcopy__", "__reduce__")
     patched = {"__setattr__", "__delattr__", "__getstate__", "__setstate__"}
     for cls in MIRRORS:
         assert issubclass(cls, _Node), cls
@@ -235,6 +235,44 @@ def cycles(left, right):
         held.append(hold(outer))
         out += (outer, outer.value)
     return out
+
+
+def shape(v, seen=None):
+    """The graph of objects reachable from ``v`` through lists and the
+    fields of ``__match_args__``: each object as its class name and
+    children, and one met before as the index of its first visit."""
+    seen = {} if seen is None else seen
+    if id(v) in seen:
+        return seen[id(v)]
+    seen[id(v)] = len(seen)
+    if isinstance(v, list):
+        return ["list", *[shape(c, seen) for c in v]]
+    if hasattr(type(v), "__match_args__"):
+        return [type(v).__name__, *[shape(getattr(v, f), seen) for f in v.__match_args__]]
+    return repr(v)
+
+
+def test_deepcopy_keeps_a_value_that_holds_itself():
+    # As the generated dataclass's deepcopy did: the copy holds itself
+    # where the value does, shares what the value shares, and shares
+    # nothing with the value; each pair is shaped as one graph.
+    def with_terms(left, term):
+        held = []
+        v = left([held, term, term])
+        held.append(v)
+        return [v]
+
+    # The last pair: a term in a field, copied after a sibling whose leaf
+    # builds a new term over it.
+    a, am = Var(Name(0)), mirrored(Var(Name(0)))
+    t = App(Lam(Name(0), Var(Name(1))), Var(Name(1)))
+    values = cycles(Left, Right) + with_terms(Left, t) + [Abstraction(a, Left([App(a, a)]))]
+    mirrors = cycles(MIRRORS[Left], MIRRORS[Right]) + with_terms(MIRRORS[Left], mirrored(t)) + [
+        MIRRORS[Abstraction](am, MIRRORS[Left]([MIRRORS[App](am, am)]))]
+    for v, m in zip(values, mirrors):
+        assert shape([copy.deepcopy(v), v]) == shape([copy.deepcopy(m), m]), m
+    copied = copy.deepcopy(values[-2]).value[1]
+    assert copied == t and copied._top == 1 and copied.fn._top == 1
 
 
 class FailsOnce:

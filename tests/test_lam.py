@@ -50,8 +50,11 @@ from .helpers import (
     max_name_id,
     reference_alpha_rec,
     reference_beta_step,
+    reference_fv,
     reference_subst,
     reference_term_act,
+    reference_term_size,
+    reference_to_debruijn,
     rename_binders,
     size_rec,
     subst_rec,
@@ -362,6 +365,17 @@ def test_to_debruijn_free_occurrence():
 
 def test_to_debruijn_counts_binder_depth():
     assert to_debruijn(Lam(x, Lam(y, Var(x)))) == DbLam(DbLam(DbVar(1)))
+
+
+@pytest.mark.parametrize("fn,reference", [
+    (fv, reference_fv), (to_debruijn, reference_to_debruijn), (term_size, reference_term_size),
+], ids=["fv", "to_debruijn", "term_size"])
+def test_fold_clients_match_plain_recursion_exhaustively(fn, reference):
+    # Binders come from the variables' pool, so shadowing occurs.
+    terms = list(all_terms(6, POOL3))
+    assert len(terms) == 4962
+    for t in terms:
+        assert fn(t) == reference(t), t
 
 
 def test_alpha_matches_oracle_exhaustively_small():
