@@ -24,10 +24,17 @@ X = TypeVar("X")
 
 @_node_dataclass
 class Abstraction(_Node, Generic[X]):
-    """A name bound in a term; compared by alpha-equivalence."""
+    """A name bound in a term; compared by alpha-equivalence.  The bound
+    name is refused, with ``TypeError``, unless its ``id`` is an ``int``,
+    as a ``Lam``'s binder is."""
 
     name: Name
     term: X
+
+    def __init__(self, *args, **kwargs) -> None:
+        _Node.__init__(self, *args, **kwargs)
+        if type(getattr(self.name, "id", None)) is not int:
+            raise TypeError("Abstraction: name must be a name")
 
 
 def alpha_equiv_dec(

@@ -10,8 +10,10 @@ counter, so every operation here is a pure function of its arguments.
 Every value type of the package derives from one of two bases here.
 ``_Value`` refuses assignment and deletion; ``Name`` is one, and its
 dataclass methods never recurse.  ``_Node``, a ``_Value``, is the base of
-the composite value types, the term and de Bruijn nodes, ``Abstraction``,
-``Left`` and ``Right``: its ``==``, ``hash``, ``repr``, copies and pickling
+every other value type: the term and de Bruijn nodes, ``Abstraction``,
+``Left`` and ``Right``, and the records ``NominalInstance``,
+``LawResult``, ``LawReport``, ``SuppFn``, ``SuppSpecReport`` and
+``NormalizeResult``.  Its ``==``, ``hash``, ``repr``, copies and pickling
 walk a value of any depth on an explicit stack, reading each class's
 fields from its ``__match_args__``.  The one piece of module state is the
 set of nodes whose ``repr`` is being written, kept per thread as the
@@ -46,8 +48,9 @@ _REPR_OPEN: set[tuple[int, int]] = set()  # (id, thread) of each node being writ
 
 
 class _Node(_Value):
-    """Base of every composite value type, one whose fields may hold
-    values of its own kind.  A subclass declares its fields with
+    """Base of every value type but ``Name``, the composite ones, whose
+    fields may hold values of their own kind, and the records, whose
+    fields may hold any of them.  A subclass declares its fields with
     ``_node_dataclass``, ``dataclass(init=False, eq=False, repr=False,
     slots=True)``, which keeps ``dataclasses.fields``,
     ``dataclasses.replace``, ``__match_args__`` and slots and generates

@@ -46,9 +46,9 @@ zipper of :func:`normalize` and :func:`beta_step`, and ``print_term`` in
 ``parse_term`` there builds terms on an explicit stack too, of open
 binders and parentheses.  The nodes' own ``==``, ``hash``, ``repr``, deep
 copy and pickling, and those of the de Bruijn nodes, are the walkers of
-their base class ``atoms._Node``, shared by every composite value type: a
-lockstep walk for ``==``, post-order walks for ``hash``, the deep copy
-and the pickle code, and a pre-order walk for ``repr``.
+their base class ``atoms._Node``, shared by every value type but
+``Name``: a lockstep walk for ``==``, post-order walks for ``hash``, the
+deep copy and the pickle code, and a pre-order walk for ``repr``.
 
 The zipper resumes each redex search where the last contraction was
 made, and contracts a contractum that lands in its parent's function slot
@@ -76,7 +76,7 @@ demo plumbing, not part of the core theory.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import lru_cache
 from typing import Iterator, TypeVar, Union
 
@@ -415,8 +415,8 @@ def beta_step(t: Term) -> Term | None:
     return _unplug(ctx, (), subst(focus.fn.body, focus.fn.binder, focus.arg))
 
 
-@dataclass(frozen=True)
-class NormalizeResult:
+@_node_dataclass
+class NormalizeResult(_Node):
     term: Term
     steps: int
     normal_form: bool

@@ -36,7 +36,6 @@ for your carrier until all laws pass.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 
 from .atoms import Name, NameSet, _Node, _node_dataclass, fresh_many
@@ -48,8 +47,8 @@ Y = TypeVar("Y")
 Gen = Callable[[random.Random], X]
 
 
-@dataclass(frozen=True)
-class NominalInstance(Generic[X]):
+@_node_dataclass
+class NominalInstance(_Node, Generic[X]):
     """Equivalence, permutation action and support for one carrier."""
 
     equiv: Callable[[X, X], bool]
@@ -178,16 +177,19 @@ def instance_nameset() -> NominalInstance[NameSet]:
 # Randomized law checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LawResult:
+@_node_dataclass
+class LawResult(_Node):
     law: str
     trials: int
     passed: bool
     counterexample: tuple | None = None
 
+    def __init__(self, law: str, trials: int, passed: bool, counterexample: tuple | None = None):
+        _Node.__init__(self, law, trials, passed, counterexample)
 
-@dataclass(frozen=True)
-class LawReport:
+
+@_node_dataclass
+class LawReport(_Node):
     results: tuple[LawResult, ...]
 
     @property

@@ -40,11 +40,10 @@ which can make downstream fresh choices larger than strictly needed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Generic, Iterable, TypeVar
 
 from .abstraction import Abstraction, instance_abstraction
-from .atoms import Name, NameSet, fresh_for, fresh_many
+from .atoms import Name, NameSet, _Node, _node_dataclass, fresh_for, fresh_many
 from .freshness import fresh_dec
 from .nominal import DEFAULT_POOL, Gen, NominalInstance, instance_name
 from .perms import Perm, _nameset_act, perm_inverse, swap_perm
@@ -54,8 +53,8 @@ Y = TypeVar("Y")
 Z = TypeVar("Z")
 
 
-@dataclass(frozen=True)
-class SuppFn(Generic[X, Y]):
+@_node_dataclass
+class SuppFn(_Node, Generic[X, Y]):
     """A function with a declared finite support and nominal endpoints."""
 
     fn: Callable[[X], Y]
@@ -165,8 +164,8 @@ def check_fcb(
     )
 
 
-@dataclass(frozen=True)
-class SuppSpecReport:
+@_node_dataclass
+class SuppSpecReport(_Node):
     trials: int
     failures: tuple[tuple[Name, Name, object], ...]
 

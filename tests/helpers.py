@@ -5,8 +5,8 @@ substitution with every largest name index found by a walk rather than
 read from the cache, the permutation action and equivalence that ran the
 swap word once per name, and alpha-structural recursion as the binder
 rule applied through ``fcb_lift``; substitution, the permutation action
-and term size written as recursors; the composite value types as
-generated dataclasses; and copies and pickle round trips by name."""
+and term size written as recursors; the value types as generated
+dataclasses; and copies and pickle round trips by name."""
 
 import copy
 import pickle
@@ -19,14 +19,15 @@ from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec
 from nomset.lam import (
-    App, DbApp, DbFree, DbLam, DbVar, Lam, Term, Var, alpha_rec, fv, instance_term, term_act,
+    App, DbApp, DbFree, DbLam, DbVar, Lam, NormalizeResult, Term, Var, alpha_rec, fv,
+    instance_term, term_act,
 )
 from nomset.nominal import (
-    Left, NominalInstance, Right, instance_name, instance_nameset, instance_pair,
-    instance_trivial,
+    LawReport, LawResult, Left, NominalInstance, Right, instance_name, instance_nameset,
+    instance_pair, instance_trivial,
 )
 from nomset.perms import perm_apply, perm_domain, swap_apply, swap_perm
-from nomset.suppfn import SuppFn, fcb_lift
+from nomset.suppfn import SuppFn, SuppSpecReport, fcb_lift
 from nomset.syntax import NameTable, ParseError
 
 POOL = tuple(Name(i) for i in range(6))
@@ -68,12 +69,14 @@ def binder_chain(binders, body: Term) -> Term:
     return body
 
 
-# The composite value types as plain generated dataclasses, with the
+# The value types other than Name as plain generated dataclasses, with the
 # dataclass decorator's own recursive ==, hash and repr: the reference the
-# shared walkers in nomset.atoms must match.
+# shared walkers in nomset.atoms must match.  The six records, which
+# were such dataclasses themselves, have their twins here too.
+RECORDS = (NominalInstance, LawResult, LawReport, SuppFn, SuppSpecReport, NormalizeResult)
 MIRRORS = {
     cls: make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
-    for cls in (Var, App, Lam, DbVar, DbFree, DbApp, DbLam, Abstraction, Left, Right)
+    for cls in (Var, App, Lam, DbVar, DbFree, DbApp, DbLam, Abstraction, Left, Right, *RECORDS)
 }
 
 
@@ -86,12 +89,20 @@ CLONES = {
 }
 
 
-def mirrored(v):
-    """``v`` rebuilt from ``MIRRORS``, by recursion; any other value is kept."""
-    mirror = MIRRORS.get(type(v))
-    if mirror is None:
-        return v
-    return mirror(*(mirrored(getattr(v, f)) for f in v.__match_args__))
+def mirrored(v, memo=None):
+    """``v`` rebuilt from ``MIRRORS``, by recursion through fields and
+    tuples, each object shared in ``v`` shared in the mirror; any other
+    value is kept."""
+    memo = {} if memo is None else memo
+    if id(v) not in memo:
+        mirror = MIRRORS.get(type(v))
+        if type(v) is tuple:
+            memo[id(v)] = tuple(mirrored(c, memo) for c in v)
+        elif mirror is None:
+            return v
+        else:
+            memo[id(v)] = mirror(*(mirrored(getattr(v, f), memo) for f in v.__match_args__))
+    return memo[id(v)]
 
 
 def max_name_id(t: Term) -> int:

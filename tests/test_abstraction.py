@@ -14,6 +14,7 @@ from nomset.abstraction import (
 )
 from nomset.atoms import Name, fresh_for, fresh_many
 from nomset.freshness import WitnessError, fresh_dec
+from nomset.lam import Var
 from nomset.nominal import check_laws, instance_name, instance_pair
 from nomset.perms import swap_perm
 from nomset.samplers import abstraction_gen, name_gen, pair_gen, perm_gen
@@ -87,6 +88,21 @@ def test_abstraction_refuses_every_assignment_and_deletion():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(ab, attr)
     assert ab == Abstraction(a, b)
+
+
+def test_abstraction_binds_only_a_name():
+    # A bound name without an int id, such as a term, would be read as a
+    # free value: it would leave the support, be missed by the action and
+    # break alpha_equiv_dec.  Every way of building one refuses it, after
+    # the field errors of a bad call.
+    ab = Abstraction(a, b)
+    for bad in (Var(a), 0, "a", None, Name("a")):
+        for build in (lambda: Abstraction(bad, b), lambda: Abstraction(term=b, name=bad),
+                      lambda: dataclasses.replace(ab, name=bad)):
+            with pytest.raises(TypeError, match="name must be a name"):
+                build()
+    with pytest.raises(TypeError, match="takes the fields"):
+        Abstraction(Var(a))
 
 
 def test_abs_act_identity():

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import functools
 import itertools
+import operator
 import pickle
 import random
 import threading
@@ -9,12 +11,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nomset
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, _Node, _Value, fresh_for, fresh_many
-from nomset.lam import App, DbApp, DbFree, DbLam, DbVar, Lam, Var, all_terms, term_act, to_debruijn
-from nomset.nominal import Left, Right
+from nomset.freshness import WitnessError
+from nomset.lam import (
+    App, DbApp, DbFree, DbLam, DbVar, Lam, Var, all_terms, alpha_eq, fv, instance_term,
+    normalize, term_act, term_size, to_debruijn,
+)
+from nomset.nominal import LawResult, Left, NominalInstance, Right, check_laws, instance_name
+from nomset.samplers import term_gen
+from nomset.suppfn import SuppFn, check_supp_spec, fcb_lift
+from nomset.syntax import NameTable, ParseError
 
-from .helpers import CLONES, MIRRORS, mirrored
+from .helpers import CLONES, MIRRORS, RECORDS, mirrored
 from .strategies import wide_names
 
 name_sets = st.frozensets(wide_names, max_size=12)
@@ -111,12 +121,17 @@ def test_name_copies_and_pickles(clone):
 
 
 def test_value_types_share_one_walker_per_method():
+    # Every class the package exports is Name, a _Node subclass, or one of
+    # the three that are not values: the mutable NameTable and two errors.
     methods = ("__eq__", "__hash__", "__repr__", "__copy__", "__deepcopy__", "__reduce__")
     patched = {"__setattr__", "__delattr__", "__getstate__", "__setstate__"}
+    exported = {v for v in map(nomset.__dict__.get, nomset.__all__) if type(v) is type}
+    assert exported - {Name, NameTable, ParseError, WitnessError} == MIRRORS.keys()
+    own_init = (Var, App, Lam, Abstraction, LawResult)
     for cls in MIRRORS:
         assert issubclass(cls, _Node), cls
         assert all(getattr(cls, m) is getattr(_Node, m) for m in methods), cls
-        assert cls in (Var, App, Lam) or cls.__init__ is _Node.__init__, cls
+        assert cls in own_init or cls.__init__ is _Node.__init__, cls
         params = cls.__dataclass_params__
         assert not (params.eq or params.order or params.repr), cls
         assert not (patched | {"__lt__"}) & cls.__dict__.keys(), cls
@@ -221,6 +236,70 @@ def test_subclasses_copy_and_pickle_as_generated_dataclass_subclasses(how):
             assert all(getattr(c, f) is getattr(v, f) for f in v.__match_args__)
 
 
+def record_values(stock=False):
+    """Pairs of a record and its twin, each record holding terms:
+    ``normalize``'s result on every term of size <= 6 at a fuel that stops
+    some of them; an instance, the law reports checked on it, whose
+    counterexamples hold terms, and their results; a support report whose
+    failures hold terms; supported functions and instances that share
+    their functions; and an instance of a subclass of each record over
+    the fields of the first record of its type.  These pickle, their
+    functions by reference; with ``stock``, the stock instances and a
+    lifted function follow, which hold lambdas and do not."""
+    x = Name(0)
+    values = [normalize(t, 2) for t in all_terms(6, (x, Name(1), Name(2)))]
+    raw, alpha = NominalInstance(operator.eq, term_act, fv), NominalInstance(alpha_eq, term_act, fv)
+    reports = [check_laws(raw, term_gen(), trials=50, seed=s) for s in range(3)]
+    leaky = SuppFn(functools.partial(App, Var(x)), frozenset(), alpha, alpha)
+    spec = check_supp_spec(leaky, term_gen(), trials=20)
+    assert spec.failures and not any(report.ok for report in reports)
+    values += (raw, alpha, *reports, *[r for report in reports for r in report.results], spec,
+               SuppFn(fv, frozenset({x}), raw, alpha), SuppFn(term_size, frozenset(), alpha, alpha))
+    pairs = [(v, mirrored(v)) for v in values]
+    for cls in RECORDS:
+        fields = next([getattr(v, f) for f in v.__match_args__] for v in values if type(v) is cls)
+        sub, mirror = SUBCLASSES[cls]
+        pairs.append((sub(*fields), mirror(*map(mirrored, fields))))
+    if stock:
+        term, lifted = instance_term(), fcb_lift(instance_name(), SuppFn(fv, frozenset(), raw, raw))
+        pairs += [(v, mirrored(v)) for v in (term, lifted, SuppFn(fv, frozenset(), term, term))]
+    return pairs
+
+
+def test_records_compare_hash_and_print_as_generated_dataclasses():
+    # hash and repr of each; == on equal pairs of distinct objects, each
+    # record against a second build, on neighbours and on random pairs.
+    pairs, again = record_values(stock=True), record_values(stock=True)
+    assert len(pairs) == len(again) > 4962
+    for v, m in pairs:
+        assert hash(v) == hash(m) and repr(v) == repr(m), m
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, v.__match_args__[0], None)
+    rng = random.Random(24)
+    compared = list(zip(pairs, again)) + list(zip(pairs, pairs[1:]))
+    compared += [(rng.choice(pairs), rng.choice(pairs)) for _ in range(5_000)]
+    equal = 0
+    for (u, mu), (v, mv) in compared:
+        assert (u == v, u != v) == (mu == mv, mu != mv), (mu, mv)
+        equal += u == v
+    assert len(pairs) - 4 < equal < len(compared) - 5_000
+
+
+@pytest.mark.parametrize("how", CLONES)
+def test_records_copy_and_pickle_as_generated_dataclasses(how):
+    # As for the subclasses above, a twin is taken to come back from
+    # pickle as it went in; a deep copy is shaped as the twin's.
+    mirror_clone = {"copy": copy.copy, "deepcopy": copy.deepcopy}.get(how, lambda m: m)
+    for v, m in record_values(stock=how in ("copy", "deepcopy")):
+        c, mc = CLONES[how](v), mirror_clone(m)
+        assert type(c) is type(v) and c == v and not c != v, m
+        assert repr(c) == repr(mc) and hash(c) == hash(mc), m
+        if how == "copy":
+            assert all(getattr(c, f) is getattr(v, f) for f in v.__match_args__)
+        if how == "deepcopy":
+            assert shape([mc, m]) == shape([c, v]), m
+
+
 def cycles(left, right):
     """Values that hold themselves through a list, built with ``left`` and
     ``right``: one node, and two nested nodes whose list holds the outer
@@ -266,9 +345,9 @@ def test_deepcopy_keeps_a_value_that_holds_itself():
     # builds a new term over it.
     a, am = Var(Name(0)), mirrored(Var(Name(0)))
     t = App(Lam(Name(0), Var(Name(1))), Var(Name(1)))
-    values = cycles(Left, Right) + with_terms(Left, t) + [Abstraction(a, Left([App(a, a)]))]
+    values = cycles(Left, Right) + with_terms(Left, t) + [DbApp(a, Left([App(a, a)]))]
     mirrors = cycles(MIRRORS[Left], MIRRORS[Right]) + with_terms(MIRRORS[Left], mirrored(t)) + [
-        MIRRORS[Abstraction](am, MIRRORS[Left]([MIRRORS[App](am, am)]))]
+        MIRRORS[DbApp](am, MIRRORS[Left]([MIRRORS[App](am, am)]))]
     for v, m in zip(values, mirrors):
         assert shape([copy.deepcopy(v), v]) == shape([copy.deepcopy(m), m]), m
     copied = copy.deepcopy(values[-2]).value[1]

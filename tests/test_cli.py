@@ -1,6 +1,10 @@
+import collections
+import hashlib
 import io
+import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -215,3 +219,116 @@ def test_main_only_returns_or_exits_with_a_contract_code(command, args):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+
+# A fixed corpus of argv lists for every subcommand, drawn from one seed:
+# random terms, names and permutations, malformed ones, fuel from 0 to
+# 1,000 and a few large inputs.  No argv meets argparse's own usage
+# errors, whose wording differs between Python versions; every output is
+# the package's own.  One SHA-256 over every (argv, stdout, stderr, exit
+# code) record pins the CLI's behaviour byte for byte.
+CORPUS_NAMES = ("x", "y", "z", "f", "n", "a", "b", "x1", "y'", "_v", "long_name")
+CORPUS_DIGEST = "324f8f964f1d55e17adfefb36ed550aa76b5e2689a0f1c201300b27bf268c09c"
+
+
+def corpus_term(rng, size):
+    """Random term text of ``size`` nodes and its kind: the outermost node
+    as "var", "app" or "lam"; spacing and redundant parentheses vary."""
+    if size <= 1:
+        return rng.choice(CORPUS_NAMES), "var"
+    if rng.random() < 0.4:
+        body, _ = corpus_term(rng, size - 1)
+        lam, dot = rng.choice("\\λ"), rng.choice((". ", ".", " . ", ".\n"))
+        return f"{lam}{rng.choice(CORPUS_NAMES)}{dot}{body}", "lam"
+    k = rng.randrange(1, size)
+    (fn, fn_kind), (arg, arg_kind) = corpus_term(rng, k), corpus_term(rng, size - k)
+    if fn_kind == "lam" or rng.random() < 0.1:
+        fn = f"({fn})"
+    if arg_kind != "var" or rng.random() < 0.1:
+        arg = f"({arg})"
+    space = rng.choice((" ", "  ", "\t", "\n"))
+    return f"{fn}{space}{arg}", "app"
+
+
+def corpus_malformed(rng, text):
+    """``text`` with one random edit, most of which make it malformed."""
+    i = rng.randrange(len(text) + 1)
+    edit = rng.randrange(5)
+    if edit == 0:
+        return text[:i] + text[i + 1:]
+    if edit == 1:
+        return text[:i] + rng.choice("#$)(.\\λ1'\r\n") + text[i:]
+    if edit == 2:
+        return text[:i]
+    if edit == 3:
+        return f"({text}"
+    return rng.choice(("", " ", "()", "\\x.", "x)", "\\. x", "\\x x", "1x", "x\n\n  #"))
+
+
+def corpus_name(rng):
+    if rng.random() < 0.15:
+        return rng.choice(("1x", "x y", "", "λ", "(x)", "x'y'", "x!"))
+    return rng.choice(CORPUS_NAMES)
+
+
+def corpus_perm(rng):
+    swaps = [f"({rng.choice(CORPUS_NAMES)} {rng.choice(CORPUS_NAMES)})"
+             for _ in range(rng.randrange(4))]
+    text = rng.choice(("", " ", "  ")).join(swaps)
+    if rng.random() < 0.2:
+        text = rng.choice((f"{text}(x y", f"{text} x y", f"{text}(x)", f"{text}(1 y)", "(x y z)"))
+    return text
+
+
+def church(k):
+    return r"\f. \x. " + "f (" * k + "x" + ")" * k
+
+
+def corpus_argv():
+    rng = random.Random(20240)
+
+    def term():
+        text, _ = corpus_term(rng, rng.randrange(1, 13))
+        return corpus_malformed(rng, text) if rng.random() < 0.15 else text
+
+    def fuel(argv):
+        value = str(rng.choice((0, 1, 2, 1000, rng.randrange(1001))))
+        where = rng.randrange(4)
+        if where == 0:
+            return argv
+        if where == 1:
+            return ["normalize", "--fuel", value, *argv[1:]]
+        return [*argv, "--fuel", value] if where == 2 else [*argv, f"--fuel={value}"]
+
+    out = []
+    for _ in range(100):
+        left = term()
+        right = rng.choice((term(), left, f"({left})"))
+        out += (["alphaeq", left, right], ["fv", term()],
+                ["subst", term(), corpus_name(rng), term()],
+                ["perm", corpus_perm(rng), term()], ["fresh", corpus_name(rng), term()],
+                fuel(["normalize", term()]))
+    for i in range(12):
+        out.append(fuel(["normalize", f"({church(i % 4 + 1)}) ({church(i % 3 + 2)})"]))
+        out.append(["normalize", "--fuel", str(83 * i), r"(\x. x x x) (\x. x x x)"])
+    chain = "".join(rf"\x{i}. " for i in range(250)) + " ".join(f"x{i}" for i in range(250))
+    deep = "(" * 650 + "x" + ")" * 650
+    out += (["fv", deep], ["fv", deep[1:]], ["alphaeq", chain, chain.replace("x", "y")],
+            ["subst", chain, "x3", "x0 x1"], ["perm", "(x0 x249) (x1 x2)", chain],
+            ["fresh", "x250", chain], ["normalize", "--fuel=-1", "x"],
+            ["normalize", f"({church(3)}) ({church(3)})"], ["fv", "x " * 3000])
+    return out
+
+
+def test_cli_corpus_digest():
+    digest, codes = hashlib.sha256(), collections.Counter()
+    for argv in corpus_argv():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        codes[argv[0], code] += 1
+        digest.update(json.dumps([argv, out.getvalue(), err.getvalue(), code]).encode())
+        digest.update(b"\n")
+    assert sum(codes.values()) >= 500
+    assert {c for _, c in codes} == {0, 1, 2} and {k for k, _ in codes} == set(nomset.cli._COMMANDS)
+    assert digest.hexdigest() == CORPUS_DIGEST, sorted(codes.items())

@@ -1,12 +1,17 @@
 """Count the code lines of the package: the non-blank lines under
 ``src/nomset`` that are neither comments nor docstrings, per module and in
-total.  Standard library only.
+total.  Then count the methods that importing the package generates:
+the functions in the class dicts of the modules it loads whose code was
+compiled from a string, as ``dataclass`` compiles the methods it writes.
+Standard library only.
 
 Usage: ``python tools/code_lines.py [DIR]`` (default: ``src/nomset`` next
-to this script's parent directory).
+to this script's parent directory).  The package is imported from DIR.
 """
 
 import ast
+import importlib
+import inspect
 import io
 import sys
 import tokenize
@@ -37,6 +42,22 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
+def generated_methods(root: Path) -> int:
+    """The methods compiled from a string in the classes of the package at
+    ``root`` and of the modules its import loads.  ``inspect.unwrap``
+    reaches a generated method under a wrapper, such as the recursion
+    guard ``dataclass`` puts around ``__repr__``."""
+    sys.path.insert(0, str(root.parent))
+    importlib.import_module(root.name)
+    classes = {cls for name, module in list(sys.modules.items())
+               if name == root.name or name.startswith(f"{root.name}.")
+               for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == name}
+    codes = [getattr(inspect.unwrap(f), "__code__", None)
+             for cls in classes for f in vars(cls).values()]
+    return sum(code is not None and code.co_filename == "<string>" for code in codes)
+
+
 def main(argv: list[str]) -> None:
     default = Path(__file__).resolve().parent.parent / "src" / "nomset"
     root = Path(argv[1]) if len(argv) > 1 else default
@@ -46,6 +67,7 @@ def main(argv: list[str]) -> None:
         total += n
         print(f"{n:6d}  {path.relative_to(root)}")
     print(f"{total:6d}  total")
+    print(f"{generated_methods(root):6d}  methods generated at import")
 
 
 if __name__ == "__main__":
