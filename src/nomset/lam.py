@@ -71,13 +71,19 @@ clauses, read off the depth :func:`_fold` gives it.
 :func:`normalize` contracts leftmost-outermost redexes under an explicit
 fuel bound, :func:`beta_step` is its one-step case; reduction strategy is
 demo plumbing, not part of the core theory.
+
+:func:`terms_of_size` and :func:`all_terms` enumerate bottom-up, as in
+Grygiel & Lescanne's counting of lambda terms: one generator builds the
+table of rows, the terms of each size, from the rows below it, one row
+per request, so a sweep gives out its small terms before it builds a
+large one.  The terms of one call share their subterms; nothing is kept
+between calls.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import field
-from functools import lru_cache
 from typing import Iterator, TypeVar, Union
 
 from .atoms import Name, NameSet, _Node, _node_dataclass
@@ -532,33 +538,42 @@ def term_size(t: Term) -> int:
                  lambda node, s, depth: 1 + s)
 
 
-@lru_cache(maxsize=64)
+def _rows(max_size: int, pool: tuple[Name, ...], binders: tuple[Name, ...] | None):
+    """Rows 1 through ``max_size`` of the enumeration table, each built
+    only when it is asked for.  Row ``n`` holds every term of ``n``
+    constructors: ``Lam(b, s)`` for each binder ``b`` and each ``s`` of
+    row ``n - 1``, then ``App(f, x)`` for each ``k`` from 1 to ``n - 2``,
+    ``f`` of row ``k`` and ``x`` of row ``n - 1 - k``.  An empty pool
+    gives no row, since every term has a variable."""
+    sizes = range(1, max_size + 1)
+    if not pool:
+        return
+    binders = pool if binders is None else binders
+    rows: list[tuple[Term, ...]] = [(), tuple(Var(a) for a in pool)]
+    for n in sizes:
+        if n > 1:
+            lams = [Lam(b, s) for b in binders for s in rows[n - 1]]
+            apps = [App(f, x) for k in range(1, n - 1)
+                    for f in rows[k] for x in rows[n - 1 - k]]
+            rows.append(tuple(lams + apps))
+        yield rows[n]
+
+
 def terms_of_size(
     size: int, pool: tuple[Name, ...], binders: tuple[Name, ...] | None = None
 ) -> tuple[Term, ...]:
     """All terms of exactly ``size`` constructors, variables drawn from
     ``pool`` and binders from ``binders`` (default: the same pool)."""
-    if binders is None:
-        binders = pool
-    if size < 1 or not pool:  # every term has a variable
-        return ()
-    if size == 1:
-        return tuple(Var(a) for a in pool)
-    out: list[Term] = []
-    for b in binders:
-        out.extend(Lam(b, s) for s in terms_of_size(size - 1, pool, binders))
-    for left in range(1, size - 1):
-        for f in terms_of_size(left, pool, binders):
-            for x in terms_of_size(size - 1 - left, pool, binders):
-                out.append(App(f, x))
-    return tuple(out)
+    row: tuple[Term, ...] = ()
+    for row in _rows(size, pool, binders):
+        pass
+    return row
 
 
 def all_terms(
-    max_size: int,
-    pool: tuple[Name, ...],
-    binders: tuple[Name, ...] | None = None,
+    max_size: int, pool: tuple[Name, ...], binders: tuple[Name, ...] | None = None
 ) -> Iterator[Term]:
-    """All terms of size 1 through ``max_size``, smallest first."""
-    for size in range(1, max_size + 1):
-        yield from terms_of_size(size, pool, binders)
+    """All terms of size 1 through ``max_size``, smallest first; each
+    size is built when the one below it has been given out."""
+    for row in _rows(max_size, pool, binders):
+        yield from row

@@ -13,11 +13,10 @@ in one O(|p|) pass.  Two words are compared extensionally with
 actions on many names (terms, name sets, supports) build the image once
 and then look each name up.
 
-:func:`_image` is also the one place a word is checked: it raises
-``TypeError`` for any swap that is not a pair of names, so every action
-that builds an image rejects such a word whatever it is applied to.
-:func:`perm_apply` builds no image and checks nothing, because a check
-per swap would slow its per-name loop by about a third.
+:func:`_image` and :func:`perm_apply` read every swap of the word and
+raise the same ``TypeError`` for any swap that is not a pair of names, so
+every action that reads a word rejects such a word whatever it is applied
+to.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ Swap = tuple[Name, Name]
 Perm = tuple[Swap, ...]
 
 IDENTITY: Perm = ()
+
+_NOT_A_WORD = "a permutation must be a word of swaps of names"
 
 
 def swap_perm(a: Name, b: Name) -> Perm:
@@ -46,17 +47,20 @@ def swap_apply(s: Swap, c: Name) -> Name:
 
 def perm_apply(p: Perm, a: Name) -> Name:
     """Apply the swaps of ``p`` to ``a``, first swap first.  Anything that
-    is not a ``Name`` is fixed."""
-    if type(a) is not Name:
-        return a
-    i = a.id
-    for x, y in p:
-        if x.id == i:
-            a = y
-            i = a.id
-        elif y.id == i:
-            a = x
-            i = a.id
+    is not a ``Name`` is fixed, but the word is read and checked all the
+    same."""
+    i = a.id if type(a) is Name else None
+    try:
+        for x, y in p:
+            j, k = x.id, y.id
+            if type(j) is not int or type(k) is not int:
+                raise TypeError
+            if j == i:
+                a, i = y, k
+            elif k == i:
+                a, i = x, j
+    except (AttributeError, TypeError, ValueError):
+        raise TypeError(_NOT_A_WORD) from None
     return a
 
 
@@ -93,7 +97,7 @@ def _image(p: Perm) -> dict[int, Name]:
                 img[n.id] = x
                 inv[i] = n
     except (AttributeError, TypeError, ValueError):
-        raise TypeError("a permutation must be a word of swaps of names") from None
+        raise TypeError(_NOT_A_WORD) from None
     return img
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import itertools
 import pickle
 import random
@@ -40,7 +41,7 @@ from nomset.nominal import NominalInstance, check_laws, instance_name, instance_
 from nomset.perms import perm_apply, swap_perm
 from nomset.samplers import name_gen, term_gen
 from nomset.suppfn import SuppFn
-from nomset.syntax import print_term
+from nomset.syntax import NameTable, print_term
 
 from .helpers import (
     act_rec,
@@ -1084,6 +1085,22 @@ def test_normalize_peak_memory_is_its_result(t):
     assert peak <= 1.25 * kept, (peak, kept)
 
 
+def test_normalize_corpus_digest():
+    # Every term of size <= 6 over x, y, z at four fuels: the printed
+    # input, fuel, step count, normal-form flag and printed result.  The
+    # digest is the same on CPython 3.10-3.13.
+    table = NameTable.from_labels({"x": x, "y": y, "z": z})
+    records = []
+    for t in all_terms(6, POOL3):
+        shown = print_term(t, table)
+        for fuel in (0, 1, 2, 1000):
+            r = normalize(t, fuel)
+            records.append(repr((shown, fuel, r.steps, r.normal_form, print_term(r.term, table))))
+    assert len(records) == 19848
+    assert sha256_of_lines(records) == (
+        "17df4b90a51e6f16c416f0881eb1f17dac29e00fe575fa157e9f18ad6475d989")
+
+
 def test_normalize_with_no_fuel_gives_back_the_term():
     for t in all_terms(5, POOL3):
         assert normalize(t, 0).term is t
@@ -1111,16 +1128,58 @@ def test_term_size_and_enumeration_counts():
 @pytest.mark.parametrize("size", [1, 2, 90, 1500])
 def test_terms_of_size_over_an_empty_pool_is_empty(size):
     # Every term has a variable, so no pool means no terms; the answer
-    # must not wait on the size-bounded cache or recurse size deep.
+    # must come at once, without building a row per size.
     assert terms_of_size(size, (), (x,)) == ()
     assert terms_of_size(size, ()) == ()
 
 
-def test_terms_of_size_cache_is_bounded_and_serves_a_whole_universe():
-    assert terms_of_size.cache_info().maxsize is not None
-    terms_of_size.cache_clear()
-    list(all_terms(6, POOL3))
-    built = terms_of_size.cache_info()
-    assert built.currsize <= built.maxsize
-    list(all_terms(6, POOL3))
-    assert terms_of_size.cache_info().misses == built.misses
+def sha256_of_lines(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_enumeration_order_digest():
+    # Sweeps and the oracle-small benchmark read terms in this order.
+    terms = itertools.chain(all_terms(7, POOL3), all_terms(6, POOL3, (x, Name(7))),
+                            terms_of_size(5, (x,), ()))
+    assert sha256_of_lines(map(repr, terms)) == (
+        "68e9138d5e539ed5f0a6125b1805f48785e9aea9aecdbb46450236f60c69799e")
+
+
+def test_enumeration_keeps_nothing_after_a_sweep():
+    pool = (Name(100), Name(101), Name(102))  # no other test enumerates it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in all_terms(7, pool)) == 25779
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024, kept
+
+
+def test_enumeration_edges():
+    assert terms_of_size(0, POOL3) == terms_of_size(-3, POOL3) == ()
+    assert list(all_terms(0, POOL3)) == list(all_terms(-1, POOL3)) == []
+    assert terms_of_size(4, list(POOL3), [x]) == terms_of_size(4, POOL3, (x,))
+    assert all(type(t) is not Lam for t in all_terms(5, POOL3, ()))
+    assert len(terms_of_size(5, POOL3, ())) == 2 * 3**3  # two shapes, three leaves
+    with pytest.raises(TypeError):
+        terms_of_size(2.5, POOL3)
+    with pytest.raises(TypeError):
+        next(all_terms(2.0, POOL3))
+
+
+def test_enumeration_is_lazy_and_shares_subterms(monkeypatch):
+    counts = count_constructions(monkeypatch)
+    first = next(all_terms(9, tuple(Name(i) for i in range(6))))
+    assert first == Var(Name(0)) and counts[App] == counts[Lam] == 0
+    terms = list(all_terms(4, POOL3))
+    seen = set()
+    for t in terms:  # every child is a term given out before, not a copy
+        kids = (t.body,) if type(t) is Lam else () if type(t) is Var else (t.fn, t.arg)
+        assert all(id(k) in seen for k in kids)
+        seen.add(id(t))

@@ -4,7 +4,17 @@ from hypothesis import strategies as st
 
 from nomset.atoms import Name, fresh_for
 from nomset.lam import Var, term_act
-from nomset.nominal import _equivalent_perm, instance_name, instance_nameset
+from nomset.abstraction import Abstraction, instance_abstraction
+from nomset.nominal import (
+    Left,
+    _equivalent_perm,
+    instance_list,
+    instance_name,
+    instance_nameset,
+    instance_option,
+    instance_pair,
+    instance_sum,
+)
 from nomset.perms import (
     _image,
     perm_apply,
@@ -220,4 +230,22 @@ def test_every_image_building_action_rejects_a_word_that_is_not_of_names():
             _image(p)
         for act in actions:
             with pytest.raises(TypeError):
+                act(p)
+
+
+def test_every_word_reading_action_rejects_a_word_that_is_not_of_names():
+    iname = instance_name()
+    actions = (
+        lambda p: perm_apply(p, a),
+        lambda p: perm_apply(p, 5),  # the word is read even for a non-name
+        lambda p: iname.act(p, a),
+        lambda p: instance_pair(iname, iname).act(p, (a, b)),
+        lambda p: instance_sum(iname, iname).act(p, Left(a)),
+        lambda p: instance_option(iname).act(p, a),
+        lambda p: instance_list(iname).act(p, (a, b)),
+        lambda p: instance_abstraction(iname).act(p, Abstraction(a, b)),
+    )
+    for p in BAD_WORDS:
+        for act in actions:
+            with pytest.raises(TypeError, match="a permutation must be a word of swaps of names"):
                 act(p)
