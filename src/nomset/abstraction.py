@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Generic, TypeVar
 
-from .atoms import Name, NameSet, _Node, _node_dataclass, fresh_for
+from .atoms import Name, NameSet, _Node, fresh_for
 from .freshness import WitnessError, fresh_tuple
 from .nominal import NominalInstance, instance_name
 from .perms import Perm, perm_apply, swap_perm
@@ -22,12 +22,12 @@ from .perms import Perm, perm_apply, swap_perm
 X = TypeVar("X")
 
 
-@_node_dataclass
 class Abstraction(_Node, Generic[X]):
     """A name bound in a term; compared by alpha-equivalence.  The bound
     name is refused, with ``TypeError``, unless its ``id`` is an ``int``,
     as a ``Lam``'s binder is."""
 
+    __slots__ = __match_args__ = ("name", "term")
     name: Name
     term: X
 

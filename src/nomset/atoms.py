@@ -8,37 +8,93 @@ Freshness is always relative to an explicit avoid-set; there is no global
 counter, so every operation here is a pure function of its arguments.
 
 Every value type of the package derives from one of two bases here.
-``_Value`` refuses assignment and deletion; ``Name`` is one, and its
-dataclass methods never recurse.  ``_Node``, a ``_Value``, is the base of
-every other value type: the term and de Bruijn nodes, ``Abstraction``,
-``Left`` and ``Right``, and the records ``NominalInstance``,
-``LawResult``, ``LawReport``, ``SuppFn``, ``SuppSpecReport`` and
-``NormalizeResult``.  Its ``==``, ``hash``, ``repr``, copies and pickling
-walk a value of any depth on an explicit stack, reading each class's
-fields from its ``__match_args__``.  The one piece of module state is the
-set of nodes whose ``repr`` is being written, kept per thread as the
-generated dataclass repr kept it, so that a value holding itself through
-a mutable field prints ``...``.
-"""
+``_Value`` refuses assignment and deletion; ``Name`` is one, with ``==``,
+``hash`` and ordering written here, those of the tuple ``(id,)``.
+``_Node``, a ``_Value``, is the base of every other value type: the term
+and de Bruijn nodes, ``Abstraction``, ``Left`` and ``Right``, and the
+records ``NominalInstance``, ``LawResult``, ``LawReport``, ``SuppFn``,
+``SuppSpecReport`` and ``NormalizeResult``.  Its ``==``, ``hash``,
+``repr``, copies and pickling walk a value of any depth on an explicit
+stack, reading each class's fields from its ``__match_args__``.  The one
+piece of module state is the set of nodes whose ``repr`` is being
+written, kept per thread as the generated dataclass repr kept it, so that
+a value holding itself through a mutable field prints ``...``.
+
+Each value class states its own ``__slots__`` and ``__match_args__``, so
+importing the package does not import ``dataclasses``.  The field table
+that ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass``
+read is built by :class:`_DataclassView` on its first read and kept on
+the class.  ``dataclasses`` is imported only then, when ``copy.replace``
+is called, or when an assignment is refused, to raise its
+``FrozenInstanceError``.  This is the only module that names
+``dataclasses``."""
 
 from copy import deepcopy
-from dataclasses import FrozenInstanceError, dataclass
 from threading import get_ident
+
+
+class _DataclassView:
+    """``__dataclass_fields__`` or ``__dataclass_params__`` of a value
+    class, built on its first read and then cached on the class.
+
+    The class is the first one in the reader's MRO that states its own
+    ``__match_args__``, so a subclass reads its base's table, and
+    ``_Value`` and ``_Node`` have none.  The table is what the public
+    ``dataclass(init=False, repr=False, eq=False)`` makes of a throwaway
+    class with the same annotations: a name outside ``__match_args__``,
+    as ``_top``, is a field with ``init=False``, a field with a default in
+    the class's ``__init__`` has that default, and a slot with no
+    annotation is no field.  Two threads that read it first at once may
+    each build a table; either is the class's table."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls):
+        owner = next((c for c in cls.__mro__ if "__match_args__" in vars(c)), None)
+        if owner is None:
+            raise AttributeError(self.name)
+        import inspect
+        from dataclasses import dataclass, field
+
+        params = inspect.signature(owner.__init__).parameters
+        ns = {"__annotations__": dict(owner.__annotations__), "__module__": owner.__module__}
+        for f in owner.__annotations__:
+            if f not in owner.__match_args__:
+                ns[f] = field(init=False)
+            elif f in params and params[f].default is not params[f].empty:
+                ns[f] = params[f].default
+        shadow = dataclass(init=False, repr=False, eq=False)(type(owner.__name__, (), ns))
+        owner.__dataclass_fields__ = shadow.__dataclass_fields__
+        owner.__dataclass_params__ = shadow.__dataclass_params__
+        return getattr(owner, self.name)
 
 
 class _Value:
     """Base of every value type: its instances refuse every assignment to
     or deletion of an attribute, declared or not, with
-    ``FrozenInstanceError``.  Constructors store through the slot
-    descriptors or ``object.__setattr__``, which both bypass these."""
+    ``dataclasses.FrozenInstanceError``.  Constructors store through the
+    slot descriptors or ``object.__setattr__``, which both bypass these.
+    Each value class declares its fields as ``__match_args__``, its slots
+    and its annotations, which ``dataclasses`` reads through the two
+    :class:`_DataclassView` attributes here."""
 
     __slots__ = ()
+    __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __replace__(self, /, **changes):
+        """``copy.replace``, from Python 3.13, as on a dataclass."""
+        from dataclasses import replace
+        return replace(self, **changes)
 
 
 # A node is an instance of _Node, read through the fields its class names
@@ -50,11 +106,10 @@ _REPR_OPEN: set[tuple[int, int]] = set()  # (id, thread) of each node being writ
 class _Node(_Value):
     """Base of every value type but ``Name``, the composite ones, whose
     fields may hold values of their own kind, and the records, whose
-    fields may hold any of them.  A subclass declares its fields with
-    ``_node_dataclass``, ``dataclass(init=False, eq=False, repr=False,
-    slots=True)``, which keeps ``dataclasses.fields``,
-    ``dataclasses.replace``, ``__match_args__`` and slots and generates
-    no method.
+    fields may hold any of them.  A subclass declares its fields in its
+    body, as ``__slots__ = __match_args__ = ("fn", "arg")`` and their
+    annotations; a cached summary, as ``_top``, is one more slot, and
+    one more annotation if ``dataclasses.fields`` is to list it.
 
     Its ``==``, ``hash``, ``repr``, ``__copy__``, ``__deepcopy__`` and
     ``__reduce__`` are explicit-stack walkers that descend into each field
@@ -208,11 +263,6 @@ class _Node(_Value):
         return _rebuild, (tuple(code), tuple(leaves))
 
 
-# Declares a _Node subclass's fields.  It generates no method, only slots,
-# __match_args__ and what dataclasses.fields and replace read.
-_node_dataclass = dataclass(init=False, eq=False, repr=False, slots=True)
-
-
 class _Hashed(int):
     """A stand-in whose hash is the int it holds: a node's hash, taken."""
 
@@ -233,20 +283,39 @@ def _rebuild(code, leaves):
     return out[0]
 
 
-@dataclass(init=False, repr=False, order=True, unsafe_hash=True, slots=True)
 class Name(_Value):
     """An atom, identified by a natural-number index.
 
-    The dataclass gives its ``==``, ``hash`` and ordering, those of the
-    one-field tuple.  The ``__init__`` stores through the slot's own
-    descriptor, which makes a name about twice as cheap to build as
-    ``object.__setattr__`` would.
+    Its ``==``, ``hash`` and ordering are those of the one-field tuple
+    ``(id,)``, against a name of the same class only, as the methods a
+    dataclass generates with ``order=True`` compare.  The ``__init__``
+    stores through the slot's own descriptor, which makes a name about
+    twice as cheap to build as ``object.__setattr__`` would.
     """
 
+    __slots__ = __match_args__ = ("id",)
     id: int
 
     def __init__(self, id: int) -> None:
         _name_id(self, id)
+
+    def __eq__(self, other):
+        return (self.id,) == (other.id,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.id,))
+
+    def __lt__(self, other):
+        return (self.id,) < (other.id,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return (self.id,) <= (other.id,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return (self.id,) > (other.id,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return (self.id,) >= (other.id,) if other.__class__ is self.__class__ else NotImplemented
 
     def __repr__(self) -> str:
         return f"Name({self.id})"

@@ -15,7 +15,10 @@ root is therefore well formed, and a function given a root that is not a
 node at all raises the same error from its dispatch.
 
 Each node caches ``_top``, the largest name index it contains, binders
-included, filled in O(1) from its children when it is built.  The node
+included, filled in O(1) from its children when it is built.  It is one
+more slot of the class, next to the fields of ``__match_args__``, and
+``dataclasses.fields`` lists it as a field the constructor does not
+take, since its class annotates it.  The node
 constructors, like ``Name``'s, store through the slot descriptors rather
 than ``object.__setattr__``, since building nodes is most of the cost of
 :func:`subst` and so of :func:`normalize`.  :func:`subst` decides from
@@ -83,10 +86,9 @@ between calls.
 from __future__ import annotations
 
 import operator
-from dataclasses import field
 from typing import Iterator, TypeVar, Union
 
-from .atoms import Name, NameSet, _Node, _node_dataclass
+from .atoms import Name, NameSet, _Node
 from .nominal import NominalInstance
 from .perms import Perm, _image
 from .suppfn import SuppFn
@@ -94,10 +96,10 @@ from .suppfn import SuppFn
 Y = TypeVar("Y")
 
 
-@_node_dataclass
 class Var(_Node):
+    __slots__, __match_args__ = ("name", "_top"), ("name",)
     name: Name
-    _top: int = field(init=False)
+    _top: int
 
     def __init__(self, name: Name) -> None:
         top = getattr(name, "id", None)
@@ -107,11 +109,11 @@ class Var(_Node):
         _var_top(self, top)
 
 
-@_node_dataclass
 class App(_Node):
+    __slots__, __match_args__ = ("fn", "arg", "_top"), ("fn", "arg")
     fn: "Term"
     arg: "Term"
-    _top: int = field(init=False)
+    _top: int
 
     def __init__(self, fn: "Term", arg: "Term") -> None:
         try:
@@ -123,11 +125,11 @@ class App(_Node):
         _app_top(self, other if other > top else top)
 
 
-@_node_dataclass
 class Lam(_Node):
+    __slots__, __match_args__ = ("binder", "body", "_top"), ("binder", "body")
     binder: Name
     body: "Term"
-    _top: int = field(init=False)
+    _top: int
 
     def __init__(self, binder: Name, body: "Term") -> None:
         try:
@@ -151,24 +153,24 @@ Term = Union[Var, App, Lam]
 _TERMS = (Var, App, Lam)
 
 
-@_node_dataclass
 class DbVar(_Node):
+    __slots__ = __match_args__ = ("index",)
     index: int
 
 
-@_node_dataclass
 class DbFree(_Node):
+    __slots__ = __match_args__ = ("name",)
     name: Name
 
 
-@_node_dataclass
 class DbApp(_Node):
+    __slots__ = __match_args__ = ("fn", "arg")
     fn: "DbTerm"
     arg: "DbTerm"
 
 
-@_node_dataclass
 class DbLam(_Node):
+    __slots__ = __match_args__ = ("body",)
     body: "DbTerm"
 
 
@@ -421,8 +423,8 @@ def beta_step(t: Term) -> Term | None:
     return _unplug(ctx, (), subst(focus.fn.body, focus.fn.binder, focus.arg))
 
 
-@_node_dataclass
 class NormalizeResult(_Node):
+    __slots__ = __match_args__ = ("term", "steps", "normal_form")
     term: Term
     steps: int
     normal_form: bool

@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Generic, TypeVar
 
-from .atoms import Name, NameSet, _Node, _node_dataclass, fresh_many
+from .atoms import Name, NameSet, _Node, fresh_many
 from .perms import Perm, _nameset_act, perm_apply, perm_compose, swap_perm
 
 X = TypeVar("X")
@@ -47,10 +47,10 @@ Y = TypeVar("Y")
 Gen = Callable[[random.Random], X]
 
 
-@_node_dataclass
 class NominalInstance(_Node, Generic[X]):
     """Equivalence, permutation action and support for one carrier."""
 
+    __slots__ = __match_args__ = ("equiv", "act", "support")
     equiv: Callable[[X, X], bool]
     act: Callable[[Perm, X], X]
     support: Callable[[X], NameSet]
@@ -93,13 +93,13 @@ def instance_pair(
     )
 
 
-@_node_dataclass
 class Left(_Node, Generic[X]):
+    __slots__ = __match_args__ = ("value",)
     value: X
 
 
-@_node_dataclass
 class Right(_Node, Generic[Y]):
+    __slots__ = __match_args__ = ("value",)
     value: Y
 
 
@@ -177,19 +177,19 @@ def instance_nameset() -> NominalInstance[NameSet]:
 # Randomized law checking
 # ---------------------------------------------------------------------------
 
-@_node_dataclass
 class LawResult(_Node):
+    __slots__ = __match_args__ = ("law", "trials", "passed", "counterexample")
     law: str
     trials: int
     passed: bool
-    counterexample: tuple | None = None
+    counterexample: tuple | None
 
     def __init__(self, law: str, trials: int, passed: bool, counterexample: tuple | None = None):
         _Node.__init__(self, law, trials, passed, counterexample)
 
 
-@_node_dataclass
 class LawReport(_Node):
+    __slots__ = __match_args__ = ("results",)
     results: tuple[LawResult, ...]
 
     @property

@@ -43,7 +43,7 @@ import random
 from typing import Callable, Generic, Iterable, TypeVar
 
 from .abstraction import Abstraction, instance_abstraction
-from .atoms import Name, NameSet, _Node, _node_dataclass, fresh_for, fresh_many
+from .atoms import Name, NameSet, _Node, fresh_for, fresh_many
 from .freshness import fresh_dec
 from .nominal import DEFAULT_POOL, Gen, NominalInstance, instance_name
 from .perms import Perm, _nameset_act, perm_inverse, swap_perm
@@ -53,10 +53,10 @@ Y = TypeVar("Y")
 Z = TypeVar("Z")
 
 
-@_node_dataclass
 class SuppFn(_Node, Generic[X, Y]):
     """A function with a declared finite support and nominal endpoints."""
 
+    __slots__ = __match_args__ = ("fn", "supp", "dom", "cod")
     fn: Callable[[X], Y]
     supp: NameSet
     dom: NominalInstance[X]
@@ -164,8 +164,8 @@ def check_fcb(
     )
 
 
-@_node_dataclass
 class SuppSpecReport(_Node):
+    __slots__ = __match_args__ = ("trials", "failures")
     trials: int
     failures: tuple[tuple[Name, Name, object], ...]
 

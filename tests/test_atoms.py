@@ -1,10 +1,14 @@
 import copy
 import dataclasses
 import functools
+import inspect
 import itertools
 import operator
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -12,16 +16,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nomset
+import nomset.cli
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, _Node, _Value, fresh_for, fresh_many
 from nomset.freshness import WitnessError
 from nomset.lam import (
-    App, DbApp, DbFree, DbLam, DbVar, Lam, Var, all_terms, alpha_eq, fv, instance_term,
-    normalize, term_act, term_size, to_debruijn,
+    App, DbApp, DbFree, DbLam, DbVar, Lam, NormalizeResult, Var, all_terms, alpha_eq, fv,
+    instance_term, normalize, term_act, term_size, to_debruijn,
 )
-from nomset.nominal import LawResult, Left, NominalInstance, Right, check_laws, instance_name
+from nomset.nominal import (
+    LawReport, LawResult, Left, NominalInstance, Right, check_laws, instance_name,
+)
 from nomset.samplers import term_gen
-from nomset.suppfn import SuppFn, check_supp_spec, fcb_lift
+from nomset.suppfn import SuppFn, SuppSpecReport, check_supp_spec, fcb_lift
 from nomset.syntax import NameTable, ParseError
 
 from .helpers import CLONES, MIRRORS, RECORDS, mirrored
@@ -132,14 +139,108 @@ def test_value_types_share_one_walker_per_method():
         assert issubclass(cls, _Node), cls
         assert all(getattr(cls, m) is getattr(_Node, m) for m in methods), cls
         assert cls in own_init or cls.__init__ is _Node.__init__, cls
-        params = cls.__dataclass_params__
-        assert not (params.eq or params.order or params.repr), cls
         assert not (patched | {"__lt__"}) & cls.__dict__.keys(), cls
         assert {f.name for f in dataclasses.fields(cls)} >= set(cls.__match_args__)
     assert issubclass(Name, _Value) and not issubclass(Name, _Node)
     assert not patched & Name.__dict__.keys()
+    # No class of the package holds a method compiled from a string, as
+    # the dataclass decorator compiles the methods it writes, but the
+    # __new__ of the CLI's namedtuples, which namedtuple compiles so.
+    classes = {c for name, module in list(sys.modules.items()) if name.split(".")[0] == "nomset"
+               for c in vars(module).values() if isinstance(c, type) and c.__module__ == name}
+    assert classes >= {Name, NameTable, *MIRRORS}
+    classes = {c for c in classes if not issubclass(c, tuple)}
+    codes = [getattr(inspect.unwrap(f), "__code__", None) for c in classes for f in vars(c).values()]
+    assert not [code for code in codes if code is not None and code.co_filename == "<string>"]
     assert dataclasses.replace(Left(Var(Name(0))), value=3) == Left(3)
     assert dataclasses.replace(Abstraction(Name(0), 5), name=Name(1)).name == Name(1)
+
+
+# What dataclasses.fields reads off each exported value class, field by
+# field: name, annotation, whether the constructor takes it, and default.
+_M = dataclasses.MISSING
+DATACLASS_VIEW = {
+    Name: [("id", int, True, _M)],
+    Var: [("name", "Name", True, _M), ("_top", "int", False, _M)],
+    App: [("fn", "'Term'", True, _M), ("arg", "'Term'", True, _M), ("_top", "int", False, _M)],
+    Lam: [("binder", "Name", True, _M), ("body", "'Term'", True, _M), ("_top", "int", False, _M)],
+    DbVar: [("index", "int", True, _M)],
+    DbFree: [("name", "Name", True, _M)],
+    DbApp: [("fn", "'DbTerm'", True, _M), ("arg", "'DbTerm'", True, _M)],
+    DbLam: [("body", "'DbTerm'", True, _M)],
+    Abstraction: [("name", "Name", True, _M), ("term", "X", True, _M)],
+    Left: [("value", "X", True, _M)],
+    Right: [("value", "Y", True, _M)],
+    NominalInstance: [("equiv", "Callable[[X, X], bool]", True, _M),
+                      ("act", "Callable[[Perm, X], X]", True, _M),
+                      ("support", "Callable[[X], NameSet]", True, _M)],
+    LawResult: [("law", "str", True, _M), ("trials", "int", True, _M),
+                ("passed", "bool", True, _M), ("counterexample", "tuple | None", True, None)],
+    LawReport: [("results", "tuple[LawResult, ...]", True, _M)],
+    SuppFn: [("fn", "Callable[[X], Y]", True, _M), ("supp", "NameSet", True, _M),
+             ("dom", "NominalInstance[X]", True, _M), ("cod", "NominalInstance[Y]", True, _M)],
+    SuppSpecReport: [("trials", "int", True, _M),
+                     ("failures", "tuple[tuple[Name, Name, object], ...]", True, _M)],
+    NormalizeResult: [("term", "Term", True, _M), ("steps", "int", True, _M),
+                      ("normal_form", "bool", True, _M)],
+}
+
+
+def test_value_types_keep_their_dataclass_view():
+    exported = {v for v in map(nomset.__dict__.get, nomset.__all__) if type(v) is type}
+    assert exported - {NameTable, ParseError, WitnessError} == DATACLASS_VIEW.keys()
+    x, y = Name(0), Name(1)
+    inst, law = NominalInstance(operator.eq, term_act, fv), LawResult("law", 1, True)
+    values = (Name(3), Var(x), App(Var(x), Var(y)), Lam(x, Var(y)), DbVar(0), DbFree(x),
+              DbApp(DbVar(0), DbFree(x)), DbLam(DbVar(0)), Abstraction(x, 5), Left(1), Right(2),
+              inst, law, LawReport((law,)), SuppFn(fv, frozenset(), inst, inst),
+              SuppSpecReport(1, ()), NormalizeResult(Var(x), 0, True))
+    assert {type(v) for v in values} == DATACLASS_VIEW.keys()
+    for v in values:
+        cls = type(v)
+        assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(v), cls
+        view = [(f.name, f.type, f.init, f.default) for f in dataclasses.fields(cls)]
+        assert view == DATACLASS_VIEW[cls], cls
+        assert dataclasses.fields(v) == dataclasses.fields(cls), cls
+        # replace rebuilds through the constructor, with its first field new.
+        first = cls.__match_args__[0]
+        new = {"id": 9, "index": 7, "law": "other", "trials": 2}.get(first, Var(y))
+        if isinstance(getattr(v, first), Name):
+            new = Name(9)
+        fields = [getattr(v, f) for f in cls.__match_args__]
+        assert dataclasses.replace(v) == v, cls
+        got = dataclasses.replace(v, **{first: new})
+        assert type(got) is cls and got == cls(new, *fields[1:]) and got != v, cls
+        if hasattr(copy, "replace"):  # from Python 3.13
+            assert copy.replace(v, **{first: new}) == got, cls
+    assert dataclasses.replace(Var(x), name=Name(9))._top == 9
+    with pytest.raises((ValueError, TypeError)):  # TypeError from Python 3.13
+        dataclasses.replace(Var(x), _top=9)
+    assert dataclasses.asdict(Left(5)) == {"value": 5}
+    assert not dataclasses.is_dataclass(_Node) and not dataclasses.is_dataclass(_Value)
+    sub = type("SubLeft", (Left,), {})
+    assert dataclasses.fields(sub) == dataclasses.fields(Left) and dataclasses.is_dataclass(sub)
+    with pytest.raises(TypeError, match="frozen"):
+        @dataclasses.dataclass(frozen=True)
+        class FrozenLeft(Left):
+            pass
+
+
+def test_importing_the_package_leaves_dataclasses_unloaded():
+    # The difference of sys.modules, since site may load modules first.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = f"""if True:
+        import sys
+        sys.path.insert(0, {str(src)!r})
+        before = set(sys.modules)
+        import nomset, nomset.cli, nomset.samplers
+        heavy = {{"dataclasses", "inspect", "ast", "dis", "tokenize"}}
+        print(sorted(heavy & (set(sys.modules) - before)))
+        import dataclasses
+        print([f.name for f in dataclasses.fields(nomset.Var)])
+    """
+    proc = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == ("[]\n['name', '_top']\n", "")
 
 
 def test_node_constructor_takes_each_field_once():
