@@ -10,10 +10,17 @@ One table, :data:`_COMMANDS`, describes every subcommand: its help text,
 its arguments in the order they are read into the shared
 :class:`~nomset.syntax.NameTable` (each with the reader that turns its
 text into a value), and the action that maps those values to stdout text
-and an exit code.  The argparse parser is built from that table on the
-first :func:`main` call and reused, never mutated, by every later call
-in the process, so in-process callers pay for its construction once.  A
-console invocation builds it once either way and gains nothing.
+and an exit code.
+
+A well-formed argv is read straight from that table by
+:func:`_read_argv`: the subcommand's name, then plain positionals and
+each option flag at most once, spelled exactly and followed by a value
+its ``type`` accepts.  argparse reads every such argv the same way.  Any
+other argv (help, usage errors, and the spellings the reader leaves to
+argparse: ``--fuel=N``, abbreviated flags, ``--``, values starting with
+``-``, repeated flags) goes to the argparse parser, which is imported and
+built from the table only then, once per process, and never mutated, so
+its help and usage messages are argparse's own.
 
 :func:`main` is the one exit-code boundary.  A :class:`ParseError`, or
 any other exception raised while reading arguments or running the
@@ -26,7 +33,6 @@ through unchanged.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from typing import Any, Callable, NamedTuple
@@ -39,7 +45,7 @@ from .syntax import IDENT_RE, NameTable, ParseError, parse_perm, parse_term, pri
 
 class _Arg(NamedTuple):
     flag: str
-    read: Callable[[Any, NameTable], Any]  # (argparse value, table) -> value
+    read: Callable[[Any, NameTable], Any]  # (raw value, table) -> value
     options: dict[str, Any] = {}
 
     @property
@@ -114,8 +120,41 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
+def _read_argv(argv: list) -> tuple[_Command, list[Any]] | None:
+    """The command ``argv`` names and its raw values in table order, option
+    defaults filled in, when ``argv`` is well formed as the module docstring
+    says; otherwise None, and argparse reads it."""
+    if not argv or not all(type(token) is str for token in argv):
+        return None
+    command = _COMMANDS.get(argv[0])
+    if command is None:
+        return None
+    flags = {arg.flag: arg for arg in command.args if arg.flag.startswith("-")}
+    given: dict[str, Any] = {}
+    positionals: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        value = next(tokens, "-")  # a flag that ends argv has no value
+        if token not in flags or token in given or value.startswith("-"):
+            return None
+        try:  # the conversion argparse applies
+            given[token] = flags[token].options.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+    if len(positionals) != len(command.args) - len(flags):
+        return None
+    rest = iter(positionals)
+    return command, [given.get(arg.flag, arg.options.get("default")) if arg.flag in flags
+                     else next(rest) for arg in command.args]
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nomset",
         description="Term-level queries on lambda terms: alpha-equivalence, "
@@ -136,11 +175,17 @@ def _one_line(err: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    command = _COMMANDS[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    read = _read_argv(argv)
+    if read is None:
+        args = _parser().parse_args(argv)
+        command = _COMMANDS[args.command]
+        raw = [getattr(args, arg.dest) for arg in command.args]
+    else:
+        command, raw = read
     table = NameTable()
     try:
-        values = [arg.read(getattr(args, arg.dest), table) for arg in command.args]
+        values = [arg.read(value, table) for arg, value in zip(command.args, raw)]
         out, code = command.action(table, *values)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)

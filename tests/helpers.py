@@ -6,15 +6,18 @@ read from the cache, the permutation action and equivalence that ran the
 swap word once per name, and alpha-structural recursion as the binder
 rule applied through ``fcb_lift``; substitution, the permutation action
 and term size written as recursors; the value types as generated
-dataclasses; and copies and pickle round trips by name."""
+dataclasses; copies and pickle round trips by name; and the CLI's
+``main`` with argparse reading every argv."""
 
 import copy
 import pickle
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import make_dataclass
 
+from nomset import cli
 from nomset.abstraction import Abstraction
 from nomset.atoms import Name, fresh_for
 from nomset.freshness import fresh_dec
@@ -489,3 +492,22 @@ def reference_parse_term(src: str, table: NameTable) -> Term:
     t = term()
     expect("eof")
     return t
+
+
+def reference_cli_main(argv: list[str] | None = None) -> int:
+    """``nomset.cli.main`` with argparse reading every argv, as before the
+    table-driven reader: the reference the reader must match."""
+    args = cli._parser().parse_args(argv)
+    command = cli._COMMANDS[args.command]
+    table = NameTable()
+    try:
+        values = [arg.read(getattr(args, arg.dest), table) for arg in command.args]
+        out, code = command.action(table, *values)
+    except ParseError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # the exit-code boundary
+        print(f"error: {cli._one_line(err)}", file=sys.stderr)
+        return 2
+    print(out)
+    return code

@@ -10,11 +10,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nomset.cli
 from nomset.cli import main
+
+from .helpers import reference_cli_main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -157,25 +159,37 @@ def test_main_reports_an_internal_error_as_one_line_and_exit_2(capsys, monkeypat
 
 
 def test_parser_is_built_once_per_process(capsys):
-    for argv in (["fv", "x"], ["alphaeq", "x", "y"], ["normalize", "x"]):
+    nomset.cli._parser.cache_clear()
+    for argv in (["fv", "x"], ["alphaeq", "x", "y"], ["normalize", "--fuel", "3", "x"]):
         main(argv)
+    assert nomset.cli._parser.cache_info().misses == 0
+    with pytest.raises(SystemExit):
+        main(["fv"])
+    main(["normalize", "--fuel=3", "x"])
     capsys.readouterr()
     info = nomset.cli._parser.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_importing_the_cli_builds_no_parser():
-    probe = "import nomset.cli as c; print(c._parser.cache_info().misses)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=cli_env())
-    assert proc.stdout == "0\n"
+    # The difference of sys.modules, since site may load modules first.
+    probe = f"""if True:
+        import sys
+        sys.path.insert(0, {str(REPO / "src")!r})
+        before = set(sys.modules)
+        import nomset.cli as c
+        print(c._parser.cache_info().misses)
+        print(sorted({{"argparse", "gettext"}} & (set(sys.modules) - before)))
+    """
+    proc = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == ("0\n[]\n", "")
 
 
 FOUR_STEPS = r"(\x. x) ((\x. x) ((\x. x) ((\x. x) y)))"
 
-# Each argv runs in this process on the one shared parser and in a fresh
-# interpreter; the pair of normalize calls catches a --fuel that leaks from
-# the call before.
+# Each argv runs in this process, where the table-driven reader and the one
+# shared parser take turns, and in a fresh interpreter; the pair of
+# normalize calls catches a --fuel that leaks from the call before.
 REUSE_SEQUENCE = [
     ["frobnicate", "x"],
     ["-h"],
@@ -190,6 +204,12 @@ REUSE_SEQUENCE = [
     ["perm", "(x y)", "x y z"],
     ["fresh", "x", r"\x. x"],
     ["normalize", r"(\x. x) y"],
+    ["fv"],
+    ["alphaeq", "x", "y", "z"],
+    ["normalize", "--fuel=2", FOUR_STEPS],
+    ["normalize", "--fu", "2", FOUR_STEPS],
+    ["normalize", "x", "--fuel", "-1"],
+    ["normalize", "--fuel", "1", "--fuel", "3", FOUR_STEPS],
 ]
 
 
@@ -219,6 +239,64 @@ def test_main_only_returns_or_exits_with_a_contract_code(command, args):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+
+# Argv drawn as a well-formed one, a subcommand with plain tokens for its
+# positionals and now and then an exact --fuel with a plain value, then
+# changed by up to two edits: a token dropped, or one of the spellings the
+# reader leaves to argparse, or a non-str element, put in.  Some plain
+# tokens are values int() accepts with a twist.
+DIFF_PLAIN = ["x", r"\x. x", "(x y)", "fv", "", "3", " 5", "5_0", "+5"]
+DIFF_OTHER = ["--fuel", "--fu", "--fuel=3", "-h", "--", "-", "-1", 5]
+
+
+@st.composite
+def diff_argv(draw):
+    name = draw(st.sampled_from([*nomset.cli._COMMANDS]))
+    args = nomset.cli._COMMANDS[name].args
+    argv = [draw(st.sampled_from(DIFF_PLAIN)) for arg in args if not arg.flag.startswith("-")]
+    for arg in args:
+        if arg.flag.startswith("-") and draw(st.booleans()):
+            at = draw(st.integers(0, len(argv)))
+            argv[at:at] = [arg.flag, draw(st.sampled_from(DIFF_PLAIN))]
+    argv.insert(0, name)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        if at < len(argv) and draw(st.booleans()):
+            del argv[at]
+        else:
+            token = draw(st.sampled_from(DIFF_OTHER))
+            value = [draw(st.sampled_from(DIFF_PLAIN))] if token in ("--fuel", "--fu") else []
+            argv[at:at] = [token, *value]
+    return argv
+
+
+def outcome(run, argv):
+    """``run(argv)`` with its output captured: (exit code, stdout, stderr),
+    the code also taken from ``SystemExit``, or from any other exception as
+    its type and text."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = (type(exc).__name__, str(exc))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500)
+@given(diff_argv())
+@example([])
+@example(["normalize", "--fuel", " 5", "x"])
+@example(["normalize", "--fuel", "5_0", "x"])
+@example(["normalize", "--fuel", "+5", "x"])
+@example(["normalize", "--fu", "2", "x"])
+@example(["fv", "-h"])
+@example(["alphaeq", "x", 5])
+def test_main_matches_the_always_argparse_reference(argv):
+    assert outcome(main, argv) == outcome(reference_cli_main, argv)
 
 
 # A fixed corpus of argv lists for every subcommand, drawn from one seed:
@@ -332,3 +410,13 @@ def test_cli_corpus_digest():
     assert sum(codes.values()) >= 500
     assert {c for _, c in codes} == {0, 1, 2} and {k for k, _ in codes} == set(nomset.cli._COMMANDS)
     assert digest.hexdigest() == CORPUS_DIGEST, sorted(codes.items())
+
+
+def test_reader_takes_every_corpus_argv_whose_only_dash_token_is_an_exact_fuel():
+    taken = 0
+    for argv in corpus_argv():
+        plain = (argv.count("--fuel") <= 1
+                 and all(not token.startswith("-") for token in argv if token != "--fuel"))
+        assert (nomset.cli._read_argv(argv) is not None) == plain, argv
+        taken += plain
+    assert taken >= 500

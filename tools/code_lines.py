@@ -1,8 +1,9 @@
 """Count the code lines of the package: the non-blank lines under
 ``src/nomset`` that are neither comments nor docstrings, per module and in
-total.  Then count the methods that importing the package generates:
-the functions in the class dicts of the modules it loads whose code was
-compiled from a string, as ``dataclass`` compiles the methods it writes.
+total.  Then count the methods that importing the package and each of its
+modules generates: the functions in the class dicts of the modules those
+imports load whose code was compiled from a string, as ``dataclass`` and
+``NamedTuple`` compile the methods they write.
 Standard library only.
 
 Usage: ``python tools/code_lines.py [DIR]`` (default: ``src/nomset`` next
@@ -44,11 +45,15 @@ def code_lines(source: str) -> int:
 
 def generated_methods(root: Path) -> int:
     """The methods compiled from a string in the classes of the package at
-    ``root`` and of the modules its import loads.  ``inspect.unwrap``
-    reaches a generated method under a wrapper, such as the recursion
-    guard ``dataclass`` puts around ``__repr__``."""
+    ``root`` and of the modules that importing it and each of its modules
+    but ``__main__`` loads.  ``inspect.unwrap`` reaches a generated method
+    under a wrapper, such as the recursion guard ``dataclass`` puts around
+    ``__repr__``."""
     sys.path.insert(0, str(root.parent))
     importlib.import_module(root.name)
+    for path in sorted(root.glob("*.py")):
+        if path.stem not in ("__init__", "__main__"):
+            importlib.import_module(f"{root.name}.{path.stem}")
     classes = {cls for name, module in list(sys.modules.items())
                if name == root.name or name.startswith(f"{root.name}.")
                for cls in vars(module).values()
